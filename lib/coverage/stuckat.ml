@@ -85,12 +85,19 @@ let run_verdict (c : Circuit.t) fault word =
 
 let detects c fault word = (run_verdict c fault word).Campaign.detected
 
-(* The bit-parallel stuck-at backend: bit l of every packed int is the
-   value of a net in faulty circuit l. One {!Expr.eval_lanes} pass per
-   expression evaluates all lanes at once; a lane's reads of its
-   faulted signal are pinned through per-signal (mask, ones) pairs. *)
+(* The bit-parallel stuck-at backends run the circuit compiled to a
+   {!Netprog} gate program, so each step evaluates every distinct gate
+   once per pass instead of re-walking the expression trees. Slot [k]
+   of the faulty scratch array holds gate [k]'s value in every faulty
+   circuit (bit [l] = lane [l]); a lane's reads of its faulted signal
+   are pinned when the leaf slots are loaded, through per-signal
+   (mask, ones) pairs. The golden circuit runs as a second pass of the
+   same program with every lane equal ({!Netprog.sim} semantics: slot
+   values 0 or -1). A step is therefore two passes: the constraint
+   prefix of both, then the rest of both when the golden circuit
+   accepts the vector. *)
 module Net_backend = struct
-  type ctx = Circuit.t
+  type ctx = Netprog.t
   type nonrec fault = fault
   type stim = bool array
 
@@ -99,18 +106,20 @@ module Net_backend = struct
   let effective _ _ = true
 
   type batch = {
-    c : Circuit.t;
+    p : Netprog.t;
     full : int;  (* lane population mask *)
+    v : int array;  (* faulty-lane scratch: one slot per gate *)
+    g : int array;  (* golden scratch, 0 or -1 per slot *)
     lanes : int array;  (* per-register packed lane values *)
-    mutable good : Circuit.state;
+    good : bool array;  (* golden register values *)
     pmr : int array;  (* per-register: lanes pinned on that register *)
     p1r : int array;  (* … of those, lanes pinned to 1 *)
     pmi : int array;  (* per-input: lanes pinned on that input *)
     p1i : int array;
   }
 
-  let start (c : Circuit.t) (faults : fault array) =
-    let nr = Circuit.n_regs c and ni = Circuit.n_inputs c in
+  let start p (faults : fault array) =
+    let nr = Netprog.n_regs p and ni = Netprog.n_inputs p in
     let full = Campaign.ones (Array.length faults) in
     let pmr = Array.make nr 0 and p1r = Array.make nr 0 in
     let pmi = Array.make ni 0 and p1i = Array.make ni 0 in
@@ -125,21 +134,28 @@ module Net_backend = struct
             pmi.(i) <- pmi.(i) lor bit;
             if f.stuck then p1i.(i) <- p1i.(i) lor bit)
       faults;
-    let good = Circuit.initial_state c in
+    let good = Netprog.initial_state p in
     let lanes = Array.map (fun b -> if b then full else 0) good in
-    { c; full; lanes; good; pmr; p1r; pmi; p1i }
+    let v = Array.make (Netprog.slots p) 0 and g = Array.make (Netprog.slots p) 0 in
+    { p; full; v; g; lanes; good; pmr; p1r; pmi; p1i }
 
   let step b ~active:_ iv =
-    let c = b.c in
-    let read_in i =
-      ((if iv.(i) then b.full else 0) land lnot b.pmi.(i)) lor b.p1i.(i)
-    in
-    let read_reg r = (b.lanes.(r) land lnot b.pmr.(r)) lor b.p1r.(r) in
-    let cm =
-      Expr.eval_lanes ~inputs:read_in ~regs:read_reg c.Circuit.input_constraint
-      land b.full
-    in
-    if Circuit.input_valid c b.good iv then begin
+    let p = b.p and v = b.v and g = b.g in
+    for i = 0 to Netprog.n_inputs p - 1 do
+      let gi = if iv.(i) then -1 else 0 in
+      g.(i) <- gi;
+      v.(i) <- (gi land b.full land lnot b.pmi.(i)) lor b.p1i.(i)
+    done;
+    Array.iteri
+      (fun r lr ->
+        let k = Netprog.reg_slot p r in
+        g.(k) <- (if b.good.(r) then -1 else 0);
+        v.(k) <- (lr land lnot b.pmr.(r)) lor b.p1r.(r))
+      b.lanes;
+    Netprog.eval_constraint p v;
+    Netprog.eval_constraint p g;
+    let cm = v.(Netprog.constraint_slot p) land b.full in
+    if g.(Netprog.constraint_slot p) <> 0 then begin
       (* excitation: the golden value of the faulted net differs from
          the pinned value *)
       let excited = ref 0 in
@@ -153,25 +169,20 @@ module Net_backend = struct
           excited :=
             !excited lor (if bit then b.pmi.(i) land lnot b.p1i.(i) else b.p1i.(i)))
         iv;
-      (* lanes whose pinned constraint fails are detected outright … *)
+      Netprog.eval_rest p v;
+      Netprog.eval_rest p g;
+      (* lanes whose pinned constraint fails are detected outright, the
+         rest by comparing observable outputs per lane *)
       let detected = ref (b.full land lnot cm) in
-      let good', gout = Circuit.step c b.good iv in
-      (* … the rest by comparing observable outputs per lane *)
-      Array.iteri
-        (fun oi (o : Circuit.port) ->
-          let ow = Expr.eval_lanes ~inputs:read_in ~regs:read_reg o.Circuit.expr in
-          let g = if gout.(oi) then b.full else 0 in
-          detected := !detected lor (ow lxor g land cm))
-        c.Circuit.outputs;
-      let n = Array.length c.Circuit.regs in
-      let next =
-        Array.map
-          (fun (r : Circuit.reg) ->
-            Expr.eval_lanes ~inputs:read_in ~regs:read_reg r.Circuit.next land b.full)
-          c.Circuit.regs
-      in
-      Array.blit next 0 b.lanes 0 n;
-      b.good <- good';
+      for o = 0 to Netprog.n_outputs p - 1 do
+        let k = Netprog.output_slot p o in
+        detected := !detected lor ((v.(k) lxor g.(k)) land cm)
+      done;
+      for r = 0 to Netprog.n_regs p - 1 do
+        let k = Netprog.next_slot p r in
+        b.lanes.(r) <- v.(k) land b.full;
+        b.good.(r) <- g.(k) <> 0
+      done;
       { Campaign.excited = !excited; detected = !detected; halt = false }
     end
     else
@@ -180,20 +191,16 @@ module Net_backend = struct
       { Campaign.excited = 0; detected = cm; halt = true }
 end
 
-(* The same backend over an arbitrary lane representation: lane values
-   are [L.t] bit-slices and expressions are evaluated through the
-   functorized {!Expr.Wide_eval}. [Net_backend] stays verbatim as the
-   direct-int default and oracle. Unlike the FSM backend, per-step work
-   here is dominated by per-lane expression evaluation (every lane's
-   nets are recomputed every step), so widening mainly buys fewer
-   batch setups, not an order of magnitude — the wide stuck-at path
-   exists for uniformity and for sharding, and the bench reports it
-   honestly. *)
+(* The same backend over an arbitrary lane representation: faulty lane
+   values are [L.t] bit-slices evaluated by {!Netprog.Wide}, the golden
+   pass stays on native ints. A step costs one pass over the distinct
+   gates per lane word, so a wider batch judges more faults per golden
+   pass at a per-gate cost that grows with the width. *)
 module Net_backend_w (L : Simcov_util.Lanes.S) = struct
   module L = L
-  module E = Expr.Wide_eval (L)
+  module E = Netprog.Wide (L)
 
-  type ctx = Circuit.t
+  type ctx = Netprog.t
   type nonrec fault = fault
   type stim = bool array
 
@@ -202,18 +209,20 @@ module Net_backend_w (L : Simcov_util.Lanes.S) = struct
   let effective _ _ = true
 
   type batch = {
-    c : Circuit.t;
+    p : Netprog.t;
     full : L.t;
+    v : L.t array;
+    g : int array;
     lanes : L.t array;
-    mutable good : Circuit.state;
+    good : bool array;
     pmr : L.t array;
     p1r : L.t array;
     pmi : L.t array;
     p1i : L.t array;
   }
 
-  let start (c : Circuit.t) (faults : fault array) =
-    let nr = Circuit.n_regs c and ni = Circuit.n_inputs c in
+  let start p (faults : fault array) =
+    let nr = Netprog.n_regs p and ni = Netprog.n_inputs p in
     let full = L.ones (Array.length faults) in
     let pmr = Array.make nr L.zero and p1r = Array.make nr L.zero in
     let pmi = Array.make ni L.zero and p1i = Array.make ni L.zero in
@@ -227,22 +236,27 @@ module Net_backend_w (L : Simcov_util.Lanes.S) = struct
             pmi.(i) <- L.add pmi.(i) l;
             if f.stuck then p1i.(i) <- L.add p1i.(i) l)
       faults;
-    let good = Circuit.initial_state c in
+    let good = Netprog.initial_state p in
     let lanes = Array.map (fun b -> if b then full else L.zero) good in
-    { c; full; lanes; good; pmr; p1r; pmi; p1i }
+    let v = Array.make (Netprog.slots p) L.zero and g = Array.make (Netprog.slots p) 0 in
+    { p; full; v; g; lanes; good; pmr; p1r; pmi; p1i }
 
   let step b ~active:_ iv =
-    let c = b.c in
-    let read_in i =
-      L.union (L.diff (if iv.(i) then b.full else L.zero) b.pmi.(i)) b.p1i.(i)
-    in
-    let read_reg r = L.union (L.diff b.lanes.(r) b.pmr.(r)) b.p1r.(r) in
-    let cm =
-      L.inter
-        (E.eval ~inputs:read_in ~regs:read_reg c.Circuit.input_constraint)
-        b.full
-    in
-    if Circuit.input_valid c b.good iv then begin
+    let p = b.p and v = b.v and g = b.g in
+    for i = 0 to Netprog.n_inputs p - 1 do
+      g.(i) <- (if iv.(i) then -1 else 0);
+      v.(i) <- L.union (L.diff (if iv.(i) then b.full else L.zero) b.pmi.(i)) b.p1i.(i)
+    done;
+    Array.iteri
+      (fun r lr ->
+        let k = Netprog.reg_slot p r in
+        g.(k) <- (if b.good.(r) then -1 else 0);
+        v.(k) <- L.union (L.diff lr b.pmr.(r)) b.p1r.(r))
+      b.lanes;
+    E.eval_constraint p v;
+    Netprog.eval_constraint p g;
+    let cm = L.inter v.(Netprog.constraint_slot p) b.full in
+    if g.(Netprog.constraint_slot p) <> 0 then begin
       let excited = ref L.zero in
       Array.iteri
         (fun r gb ->
@@ -256,23 +270,19 @@ module Net_backend_w (L : Simcov_util.Lanes.S) = struct
             L.union !excited
               (if bit then L.diff b.pmi.(i) b.p1i.(i) else b.p1i.(i)))
         iv;
+      E.eval_rest p v;
+      Netprog.eval_rest p g;
       let detected = ref (L.diff b.full cm) in
-      let good', gout = Circuit.step c b.good iv in
-      Array.iteri
-        (fun oi (o : Circuit.port) ->
-          let ow = E.eval ~inputs:read_in ~regs:read_reg o.Circuit.expr in
-          let g = if gout.(oi) then b.full else L.zero in
-          detected := L.union !detected (L.inter (L.xor ow g) cm))
-        c.Circuit.outputs;
-      let n = Array.length c.Circuit.regs in
-      let next =
-        Array.map
-          (fun (r : Circuit.reg) ->
-            L.inter (E.eval ~inputs:read_in ~regs:read_reg r.Circuit.next) b.full)
-          c.Circuit.regs
-      in
-      Array.blit next 0 b.lanes 0 n;
-      b.good <- good';
+      for o = 0 to Netprog.n_outputs p - 1 do
+        let k = Netprog.output_slot p o in
+        let gk = if g.(k) <> 0 then b.full else L.zero in
+        detected := L.union !detected (L.inter (L.xor v.(k) gk) cm)
+      done;
+      for r = 0 to Netprog.n_regs p - 1 do
+        let k = Netprog.next_slot p r in
+        b.lanes.(r) <- L.inter v.(k) b.full;
+        b.good.(r) <- g.(k) <> 0
+      done;
       { Campaign.excited = !excited; detected = !detected; halt = false }
     end
     else { Campaign.excited = L.zero; detected = cm; halt = true }
@@ -282,6 +292,8 @@ module Driver = Campaign.Make (Net_backend)
 
 let campaign_outcome ?budget ?lanes ?jobs ?max_workers ?on_batch ?resume
     ?checkpoint ?should_stop ?shard_retries ?retry_backoff_s c faults word =
+  (* one compile per campaign; every batch and shard shares it *)
+  let c = Netprog.compile c in
   match lanes with
   | Some w when w > Sys.int_size ->
       let module L = (val Simcov_util.Lanes.make w) in

@@ -17,9 +17,10 @@
     versa).
 
     Campaigns route through the shared {!Simcov_campaign.Campaign}
-    driver with true bit-parallel lanes: bit [l] of every packed int is
-    a net value in faulty circuit [l], and one {!Expr.eval_lanes} pass
-    evaluates all lanes at once. *)
+    driver with true bit-parallel lanes: the circuit is compiled once
+    per campaign to a {!Netprog} gate program, bit [l] of every slot is
+    a net value in faulty circuit [l], and one pass over the distinct
+    gates evaluates all lanes at once. *)
 
 open Simcov_netlist
 module Campaign = Simcov_campaign.Campaign

@@ -151,7 +151,18 @@ let serve ~socket ?queue_limit ?workers ?domain_tokens ?cache () =
       let prev_term = Sys.signal Sys.sigterm on_signal in
       let prev_int = Sys.signal Sys.sigint on_signal in
       let prev_pipe = Sys.signal Sys.sigpipe Sys.Signal_ignore in
+      (* connection domains with a flag each handler sets on exit:
+         finished ones are joined from the accept loop, so a long-lived
+         daemon holds only its open connections *)
       let conns = ref [] in
+      (* a handler that died with an exception has closed its socket;
+         it must not take the server down with it *)
+      let join (d, _) = try Domain.join d with _ -> () in
+      let join_finished () =
+        let finished, open_ = List.partition (fun (_, fin) -> Atomic.get fin) !conns in
+        conns := open_;
+        List.iter join finished
+      in
       (* accept with a short poll so a SIGTERM between connections is
          noticed promptly *)
       let rec accept_loop () =
@@ -160,11 +171,18 @@ let serve ~socket ?queue_limit ?workers ?domain_tokens ?cache () =
           | [ _ ], _, _ -> (
               match Unix.accept listen_fd with
               | fd, _ ->
-                  conns :=
-                    Domain.spawn (fun () -> handle_connection pool fd) :: !conns
+                  let fin = Atomic.make false in
+                  let d =
+                    Domain.spawn (fun () ->
+                        Fun.protect
+                          ~finally:(fun () -> Atomic.set fin true)
+                          (fun () -> handle_connection pool fd))
+                  in
+                  conns := (d, fin) :: !conns
               | exception Unix.Unix_error (Unix.EINTR, _, _) -> ())
           | _ -> ()
           | exception Unix.Unix_error (Unix.EINTR, _, _) -> ());
+          join_finished ();
           accept_loop ()
         end
       in
@@ -172,7 +190,7 @@ let serve ~socket ?queue_limit ?workers ?domain_tokens ?cache () =
       (* drain: stop the queue through the durable checkpoint path;
          every open connection still gets its final envelope *)
       Pool.drain pool;
-      List.iter Domain.join !conns;
+      List.iter join !conns;
       (try Unix.close listen_fd with Unix.Unix_error _ -> ());
       (try Unix.unlink socket with Unix.Unix_error _ | Sys_error _ -> ());
       Sys.set_signal Sys.sigterm prev_term;

@@ -11,8 +11,9 @@ let state_name = function
 type rec_job = {
   rj_id : string;
   rj_job : Job.t;
-  rj_on_line : string -> unit;
-  rj_on_done : Json.t -> unit;
+  mutable rj_on_line : string -> unit;
+  mutable rj_on_done : Json.t -> unit;
+      (** both dropped on resolve: they hold the submitter's channels *)
   rj_cancel : bool Atomic.t;
   mutable rj_state : jstate;
 }
@@ -25,7 +26,10 @@ type t = {
   done_cond : Condition.t;  (** signaled when a job resolves *)
   queue : rec_job Queue.t;
   jobs : (string, rec_job) Hashtbl.t;
+      (** queued and running jobs plus the {!finished_kept} most
+          recently finished *)
   mutable order : string list;  (** submission order, reversed *)
+  finished : string Queue.t;  (** ids in [jobs] that resolved, oldest first *)
   mutable next_id : int;
   mutable pending : int;  (** queued + running *)
   mutable draining : bool;
@@ -68,6 +72,16 @@ let envelope_of_outcome rj (o : Service.outcome) =
     ~status:(Service.status_of o) ~exit_code:o.Service.exit_code
     ?error:o.Service.error ?report:o.Service.report ()
 
+let finished_kept = 128
+
+(* forget the oldest finished job once more than [finished_kept] have
+   resolved (jobs resolve one at a time); under the lock *)
+let evict_finished t =
+  if Queue.length t.finished > finished_kept then begin
+    Hashtbl.remove t.jobs (Queue.pop t.finished);
+    t.order <- List.filter (Hashtbl.mem t.jobs) t.order
+  end
+
 let resolve t rj status envelope =
   (* the user callback runs outside the lock (it may be a slow socket
      write) but before the job counts as resolved, so [wait] implies
@@ -76,7 +90,11 @@ let resolve t rj status envelope =
     ~finally:(fun () ->
       Mutex.protect t.lock (fun () ->
           rj.rj_state <- Finished status;
+          rj.rj_on_line <- ignore;
+          rj.rj_on_done <- ignore;
           t.pending <- t.pending - 1;
+          Queue.push rj.rj_id t.finished;
+          evict_finished t;
           Condition.broadcast t.done_cond))
     (fun () -> rj.rj_on_done envelope)
 
@@ -184,6 +202,7 @@ let create ?(cache = Model_cache.shared) ?(queue_limit = 64) ?(workers = 2)
       queue = Queue.create ();
       jobs = Hashtbl.create 16;
       order = [];
+      finished = Queue.create ();
       next_id = 0;
       pending = 0;
       draining = false;

@@ -52,13 +52,22 @@ val submit :
     thread-safe). [on_done] receives the final envelope exactly once. *)
 
 val cancel : t -> string -> bool
-(** [true] if the id named a queued or running job. *)
+(** [true] if the id named a queued or running job; [false] for an
+    unknown, finished or forgotten one. *)
+
+val finished_kept : int
+(** How many finished jobs the pool remembers, most recently resolved
+    first: a long-lived daemon keeps every queued and running job but
+    forgets older finished ones, so its memory does not grow with the
+    jobs it has served. A resolved job also drops its [on_line] and
+    [on_done] callbacks. *)
 
 val list : t -> Json.t
 (** The [simcov-jobs/1] snapshot:
     [{"schema":"simcov-jobs/1","jobs":[{"id","kind","state"},...]}]
-    with [state] one of [queued], [running], or a final
-    {!Job.status_name}. *)
+    in submission order, with [state] one of [queued], [running], or a
+    final {!Job.status_name}; finished jobs beyond {!finished_kept}
+    are left out. *)
 
 val wait : t -> unit
 (** Block until every submitted job has resolved. *)

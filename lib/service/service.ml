@@ -4,6 +4,7 @@ module Obs = Simcov_obs.Obs
 module Covdb = Simcov_covdb.Covdb
 module Campaign = Simcov_campaign.Campaign
 module Circuit = Simcov_netlist.Circuit
+module Netprog = Simcov_netlist.Netprog
 module Fsm = Simcov_fsm.Fsm
 module Detect = Simcov_coverage.Detect
 module Stuckat = Simcov_coverage.Stuckat
@@ -607,9 +608,11 @@ let run_coverage ~cache ~budget ~max_workers ~should_stop ~on_progress
   in
   (* random constraint-respecting stimuli for a netlist: rejection
      sampling per step, giving up on a step (and ending the word) after
-     too many invalid draws *)
+     too many invalid draws; each draw runs only the compiled
+     constraint prefix *)
   let random_circuit_word c ~steps =
     let ni = Circuit.n_inputs c in
+    let sim = Netprog.sim (Netprog.compile c) in
     let state = ref (Circuit.initial_state c) in
     let acc = ref [] in
     (try
@@ -617,14 +620,14 @@ let run_coverage ~cache ~budget ~max_workers ~should_stop ~on_progress
          let tries = ref 0 and found = ref None in
          while !found = None && !tries < 1000 do
            let iv = Array.init ni (fun _ -> Simcov_util.Rng.bool rng) in
-           if Circuit.input_valid c !state iv then found := Some iv;
+           if Netprog.input_valid sim !state iv then found := Some iv;
            incr tries
          done;
          match !found with
          | None -> raise Exit
          | Some iv ->
              acc := iv :: !acc;
-             let s', _ = Circuit.step c !state iv in
+             let s', _ = Netprog.step sim !state iv in
              state := s'
        done
      with Exit -> ());

@@ -402,8 +402,8 @@ let wide () =
   output ctx "y" (!!r0 ||| b);
   finish ctx
 
-let check_stuckat_agrees c word =
-  let faults = Stuckat.all_faults c in
+let check_stuckat_agrees ?faults ?(widths = [ 256 ]) c word =
+  let faults = match faults with Some f -> f | None -> Stuckat.all_faults c in
   let batched = Stuckat.campaign_outcome c faults word in
   List.iter2
     (fun f (fb, vb) ->
@@ -416,17 +416,21 @@ let check_stuckat_agrees c word =
           Stuckat.pp_fault f vs.Campaign.detected vs.Campaign.excited
           vb.Campaign.detected vb.Campaign.excited)
     faults batched.Campaign.verdicts;
-  (* the wide bit-sliced backend and the sharded driver agree with the
-     native-int batched run, verdict by verdict *)
-  let wide = Stuckat.campaign_outcome ~lanes:256 ~jobs:2 c faults word in
-  List.iter2
-    (fun (fb, vb) (fw, vw) ->
-      if fb <> fw then
-        QCheck.Test.fail_reportf "stuckat: wide fault order differs";
-      if not (verdict_eq vb vw) then
-        QCheck.Test.fail_reportf "stuckat: wide verdict mismatch on %a"
-          Stuckat.pp_fault fb)
-    batched.Campaign.verdicts wide.Campaign.verdicts;
+  (* the sharded driver at each lane width (beyond 63: the wide
+     bit-sliced backend) agrees with the native-int batched run,
+     verdict by verdict *)
+  List.iter
+    (fun lanes ->
+      let w = Stuckat.campaign_outcome ~lanes ~jobs:2 c faults word in
+      List.iter2
+        (fun (fb, vb) (fw, vw) ->
+          if fb <> fw then
+            QCheck.Test.fail_reportf "stuckat: wide fault order differs";
+          if not (verdict_eq vb vw) then
+            QCheck.Test.fail_reportf "stuckat: %d-lane verdict mismatch on %a"
+              lanes Stuckat.pp_fault fb)
+        batched.Campaign.verdicts w.Campaign.verdicts)
+    widths;
   true
 
 let qcheck_stuckat_batched_eq_scalar =
@@ -441,6 +445,107 @@ let qcheck_stuckat_batched_eq_scalar =
         List.init len (fun _ -> Array.init ni (fun _ -> Rng.bool rng))
       in
       check_stuckat_agrees c word)
+
+(* A stimulus word the golden circuit accepts step by step (rejection
+   sampling), optionally ending in one raw random vector, which the
+   golden circuit often rejects: that exercises the halt path. *)
+let golden_valid_word rng c len ~raw_tail =
+  let module Circuit = Simcov_netlist.Circuit in
+  let ni = Circuit.n_inputs c in
+  let draw () = Array.init ni (fun _ -> Rng.bool rng) in
+  let rec go state n acc =
+    if n = 0 then List.rev acc
+    else
+      let rec try_draw k =
+        if k = 0 then None
+        else
+          let iv = draw () in
+          if Circuit.input_valid c state iv then Some iv else try_draw (k - 1)
+      in
+      match try_draw 50 with
+      | None -> List.rev acc
+      | Some iv -> go (fst (Circuit.step c state iv)) (n - 1) (iv :: acc)
+  in
+  let word = go (Circuit.initial_state c) len [] in
+  if raw_tail then word @ [ draw () ] else word
+
+let qcheck_stuckat_random_circuits =
+  QCheck.Test.make
+    ~name:"campaign: stuck-at batched = scalar on random constrained circuits"
+    ~count:200
+    QCheck.(pair (int_range 1 1_000_000) (int_range 1 30))
+    (fun (seed, len) ->
+      let rng = Rng.create seed in
+      let c = Test_netlist.random_circuit rng in
+      let word =
+        if Rng.bool rng then golden_valid_word rng c len ~raw_tail:(Rng.bool rng)
+        else
+          let ni = Simcov_netlist.Circuit.n_inputs c in
+          List.init len (fun _ -> Array.init ni (fun _ -> Rng.bool rng))
+      in
+      check_stuckat_agrees ~widths:[ 63; 256 ] c word)
+
+let dlx_test = lazy (fst (Simcov_dlx.Control.derive_test_model ()))
+
+(* fault counts on both sides of the 63-lane word: one short batch, one
+   full batch, a full batch plus one lane, and all 98 faults *)
+let qcheck_stuckat_dlx_fault_counts =
+  QCheck.Test.make
+    ~name:"campaign: stuck-at batched = scalar on dlx-test, 62/63/64/98 faults"
+    ~count:6
+    QCheck.(pair (int_range 1 1_000_000) (int_range 1 16))
+    (fun (seed, len) ->
+      let c = Lazy.force dlx_test in
+      let rng = Rng.create seed in
+      let word = golden_valid_word rng c len ~raw_tail:(Rng.bool rng) in
+      let all = Stuckat.all_faults c in
+      List.for_all
+        (fun n ->
+          check_stuckat_agrees ~faults:(List.filteri (fun i _ -> i < n) all)
+            ~widths:[ 100; 256 ] c word)
+        [ 62; 63; 64; 98 ])
+
+(* stuck-at reports pinned byte for byte at a native and a wide lane
+   width; the golden files were captured from the tree-evaluating
+   backends, so they hold the compiled ones to the same bytes *)
+let test_stuckat_golden_reports () =
+  let module Job = Simcov_service.Job in
+  List.iter
+    (fun (seed, steps) ->
+      let name = Printf.sprintf "stuckat_dlx_test_seed%d_steps%d.json" seed steps in
+      (* cwd is test/ under `dune runtest`, the workspace root under
+         `dune exec` *)
+      let path =
+        match
+          List.find_opt Sys.file_exists
+            [ Filename.concat "golden" name; Filename.concat "test/golden" name ]
+        with
+        | Some p -> p
+        | None -> Alcotest.failf "golden file %s not found" name
+      in
+      let expected = In_channel.with_open_bin path In_channel.input_all in
+      List.iter
+        (fun lanes ->
+          let job =
+            Job.make
+              (Job.Coverage
+                 {
+                   (Job.default_coverage ~model:"dlx-test") with
+                   Job.cov_faults = Job.Stuckat_faults;
+                   cov_seed = seed;
+                   cov_steps = steps;
+                   cov_lanes = lanes;
+                 })
+          in
+          match (Simcov_service.Service.run job).Simcov_service.Service.report with
+          | Some r ->
+              Alcotest.(check string)
+                (Printf.sprintf "%s at %d lanes" path lanes)
+                expected
+                (Simcov_util.Json.to_string r ^ "\n")
+          | None -> Alcotest.failf "%s: no report" path)
+        [ 63; 256 ])
+    (List.concat_map (fun seed -> [ (seed, 32); (seed, 256) ]) [ 1; 7; 2026; 4242 ])
 
 let test_stuckat_excitation_without_detection () =
   (* idle word on the counter: b0 stuck-at-1 is excited at step 0 (the
@@ -704,6 +809,10 @@ let suite =
     Alcotest.test_case "unlimited budget never truncates" `Quick
       test_unlimited_budget_not_truncated;
     QCheck_alcotest.to_alcotest qcheck_stuckat_batched_eq_scalar;
+    QCheck_alcotest.to_alcotest qcheck_stuckat_random_circuits;
+    QCheck_alcotest.to_alcotest qcheck_stuckat_dlx_fault_counts;
+    Alcotest.test_case "stuck-at reports match the golden pins" `Quick
+      test_stuckat_golden_reports;
     Alcotest.test_case "stuck-at excitation without detection" `Quick
       test_stuckat_excitation_without_detection;
     Alcotest.test_case "bug campaign matches naive loop" `Quick

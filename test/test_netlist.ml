@@ -222,6 +222,203 @@ let qcheck_expr_eval_vs_bdd_semantics =
       let inputs i = (iv lsr i) land 1 = 1 and regs r = (rv lsr r) land 1 = 1 in
       Expr.eval ~inputs ~regs e = Expr.eval ~inputs ~regs e')
 
+(* ---- compiled gate programs ---- *)
+
+module Rng = Simcov_util.Rng
+
+(* A random expression over [ni] inputs and [nr] registers, built with
+   the raw constructors so constants, Xor and Mux survive unfolded.
+   About a quarter of the subterms are drawn again from [pool], so the
+   trees repeat subtrees that compiling must merge. *)
+let random_expr rng ~ni ~nr ~pool depth =
+  let leaf () =
+    match Rng.int rng 5 with
+    | 0 -> Expr.Const (Rng.bool rng)
+    | 1 | 2 -> Expr.Input (Rng.int rng ni)
+    | _ -> Expr.Reg (Rng.int rng nr)
+  in
+  let rec go d =
+    if d = 0 || Rng.int rng 6 = 0 then leaf ()
+    else if !pool <> [] && Rng.int rng 4 = 0 then
+      List.nth !pool (Rng.int rng (List.length !pool))
+    else begin
+      let e =
+        match Rng.int rng 5 with
+        | 0 -> Expr.Not (go (d - 1))
+        | 1 -> Expr.And (go (d - 1), go (d - 1))
+        | 2 -> Expr.Or (go (d - 1), go (d - 1))
+        | 3 -> Expr.Xor (go (d - 1), go (d - 1))
+        | _ -> Expr.Mux (go (d - 1), go (d - 1), go (d - 1))
+      in
+      if List.length !pool < 32 then pool := e :: !pool;
+      e
+    end
+  in
+  go depth
+
+(* A random circuit whose input constraint rejects about a quarter of
+   the (state, input) pairs: [!!(e1 &&& e2)] is false only when both
+   random terms are true. *)
+let random_circuit rng =
+  let ni = 1 + Rng.int rng 4 and nr = 1 + Rng.int rng 5 in
+  let pool = ref [] in
+  let expr depth = random_expr rng ~ni ~nr ~pool depth in
+  let input_constraint =
+    if Rng.int rng 5 = 0 then Expr.Const true
+    else Expr.Not (Expr.And (expr 3, expr 3))
+  in
+  {
+    Circuit.name = "random";
+    input_names = Array.init ni (Printf.sprintf "i%d");
+    regs =
+      Array.init nr (fun r ->
+          {
+            Circuit.name = Printf.sprintf "r%d" r;
+            group = "main";
+            init = Rng.bool rng;
+            next = expr 5;
+          });
+    outputs =
+      Array.init (1 + Rng.int rng 3) (fun o ->
+          { Circuit.port_name = Printf.sprintf "o%d" o; expr = expr 5 });
+    input_constraint;
+  }
+
+let random_bools rng n = Array.init n (fun _ -> Rng.bool rng)
+
+let step_result f =
+  match f () with r -> Ok r | exception Invalid_argument msg -> Error msg
+
+let qcheck_netprog_sim_eq_step =
+  QCheck.Test.make ~name:"netprog: golden sim = Circuit.step" ~count:300
+    QCheck.(int_range 1 1_000_000)
+    (fun seed ->
+      let rng = Rng.create seed in
+      let c = random_circuit rng in
+      let sim = Netprog.sim (Netprog.compile c) in
+      let ni = Circuit.n_inputs c and nr = Circuit.n_regs c in
+      for _ = 1 to 30 do
+        let state = random_bools rng nr and iv = random_bools rng ni in
+        if Netprog.input_valid sim state iv <> Circuit.input_valid c state iv then
+          QCheck.Test.fail_report "input_valid differs";
+        if step_result (fun () -> Netprog.step sim state iv)
+           <> step_result (fun () -> Circuit.step c state iv)
+        then QCheck.Test.fail_report "step differs"
+      done;
+      (* a vector of the wrong width is refused with Circuit.step's
+         message *)
+      let state = Circuit.initial_state c in
+      let wide = random_bools rng (ni + 1) in
+      step_result (fun () -> Netprog.step sim state wide)
+      = step_result (fun () -> Circuit.step c state wide))
+
+(* lane [l] of every leaf slot carries valuation [l]; after a pass,
+   bit [l] of every root slot must be the tree evaluation under it *)
+let qcheck_netprog_lanes_eq_eval =
+  QCheck.Test.make ~name:"netprog: native and wide lanes = per-lane eval" ~count:200
+    QCheck.(int_range 1 1_000_000)
+    (fun seed ->
+      let rng = Rng.create seed in
+      let c = random_circuit rng in
+      let p = Netprog.compile c in
+      let ni = Circuit.n_inputs c and nr = Circuit.n_regs c in
+      let lanes = 130 in
+      let states = Array.init lanes (fun _ -> random_bools rng nr) in
+      let ivs = Array.init lanes (fun _ -> random_bools rng ni) in
+      let scalar l e =
+        Expr.eval ~inputs:(fun i -> ivs.(l).(i)) ~regs:(fun r -> states.(l).(r)) e
+      in
+      let roots =
+        (Netprog.constraint_slot p, c.Circuit.input_constraint)
+        :: (Array.to_list
+              (Array.mapi (fun r (rg : Circuit.reg) -> (Netprog.next_slot p r, rg.Circuit.next)) c.Circuit.regs)
+           @ Array.to_list
+               (Array.mapi (fun o (pt : Circuit.port) -> (Netprog.output_slot p o, pt.Circuit.expr)) c.Circuit.outputs))
+      in
+      (* native ints: the first Sys.int_size valuations *)
+      let v = Array.make (Netprog.slots p) 0 in
+      let pack f =
+        let w = ref 0 in
+        for l = 0 to Sys.int_size - 1 do
+          if f l then w := !w lor (1 lsl l)
+        done;
+        !w
+      in
+      for i = 0 to ni - 1 do
+        v.(i) <- pack (fun l -> ivs.(l).(i))
+      done;
+      for r = 0 to nr - 1 do
+        v.(Netprog.reg_slot p r) <- pack (fun l -> states.(l).(r))
+      done;
+      Netprog.eval_constraint p v;
+      let check_native (slot, e) =
+        for l = 0 to Sys.int_size - 1 do
+          if (v.(slot) lsr l) land 1 = 1 <> scalar l e then
+            QCheck.Test.fail_reportf "native lane %d differs at slot %d" l slot
+        done
+      in
+      check_native (List.hd roots);
+      Netprog.eval_rest p v;
+      List.iter check_native roots;
+      (* a wide representation: all 130 valuations in one pass *)
+      let module L = (val Simcov_util.Lanes.make lanes) in
+      let module W = Netprog.Wide (L) in
+      let w = Array.make (Netprog.slots p) L.zero in
+      let pack f =
+        let s = ref L.zero in
+        for l = 0 to lanes - 1 do
+          if f l then s := L.add !s l
+        done;
+        !s
+      in
+      for i = 0 to ni - 1 do
+        w.(i) <- pack (fun l -> ivs.(l).(i))
+      done;
+      for r = 0 to nr - 1 do
+        w.(Netprog.reg_slot p r) <- pack (fun l -> states.(l).(r))
+      done;
+      W.eval_constraint p w;
+      W.eval_rest p w;
+      List.iter
+        (fun (slot, e) ->
+          for l = 0 to lanes - 1 do
+            if L.mem w.(slot) l <> scalar l e then
+              QCheck.Test.fail_reportf "wide lane %d differs at slot %d" l slot
+          done)
+        roots;
+      true)
+
+let test_netprog_hash_consing () =
+  let open Circuit.Build in
+  let ctx = create "shared" in
+  let a = input ctx "a" in
+  let b = input ctx "b" in
+  let r0 = reg ctx "r0" in
+  let r1 = reg ctx "r1" in
+  (* a &&& b appears three times; it must compile to one gate *)
+  assign ctx r0 ((a &&& b) ^^^ r0);
+  assign ctx r1 ((a &&& b) ||| r1);
+  output ctx "o" (a &&& b);
+  let c = finish ctx in
+  let p = Netprog.compile c in
+  (* the trivial constraint, And, Xor, Or *)
+  Alcotest.(check int) "distinct gates" 4 (Netprog.gates p);
+  Alcotest.(check bool) "constraint first" true
+    (Netprog.constraint_slot p < Netprog.constraint_end p
+    && Netprog.constraint_end p <= Netprog.output_slot p 0);
+  (* the DLX test model is mostly repeated subtrees *)
+  let dlx = fst (Simcov_dlx.Control.derive_test_model ()) in
+  let dp = Netprog.compile dlx in
+  Alcotest.(check bool) "dlx-test: far fewer gates than tree nodes" true
+    (10 * Netprog.gates dp < Circuit.gate_count dlx)
+
+let test_netprog_rejects_undeclared_leaf () =
+  let c = counter_circuit () in
+  let bad = { c with Circuit.input_constraint = Expr.Input 1 } in
+  Alcotest.check_raises "input out of range"
+    (Invalid_argument "Netprog.compile: input index out of range") (fun () ->
+      ignore (Netprog.compile bad))
+
 let suite =
   [
     Alcotest.test_case "expr folding" `Quick test_expr_folding;
@@ -241,4 +438,8 @@ let suite =
     Alcotest.test_case "to_fsm respects constraint" `Quick test_to_fsm_respects_constraint;
     Alcotest.test_case "to_fsm size guard" `Quick test_to_fsm_size_guard;
     QCheck_alcotest.to_alcotest qcheck_expr_eval_vs_bdd_semantics;
+    Alcotest.test_case "netprog hash-consing" `Quick test_netprog_hash_consing;
+    Alcotest.test_case "netprog undeclared leaf" `Quick test_netprog_rejects_undeclared_leaf;
+    QCheck_alcotest.to_alcotest qcheck_netprog_sim_eq_step;
+    QCheck_alcotest.to_alcotest qcheck_netprog_lanes_eq_eval;
   ]

@@ -392,12 +392,72 @@ let test_pool_cancel_and_drain () =
   | Ok _ -> fail "drained pool accepted a job"
   | Error _ -> ()
 
+let stuckat_job ~steps =
+  Job.make
+    (Job.Coverage
+       {
+         (Job.default_coverage ~model:"dlx-test") with
+         Job.cov_faults = Job.Stuckat_faults;
+         cov_steps = steps;
+       })
+
+(* A resolved job drops its callbacks: whatever the submitter's
+   on_line captured (a daemon connection's channels) becomes
+   collectable while the pool still lists the job. *)
+let test_pool_releases_callbacks () =
+  let pool = Pool.create ~workers:1 () in
+  let weak = Weak.create 2 in
+  (* allocate the captures in a separate frame so no local keeps them *)
+  let submit () =
+    let line_capture = Bytes.make 64 'l' and done_capture = Bytes.make 64 'd' in
+    Weak.set weak 0 (Some line_capture);
+    Weak.set weak 1 (Some done_capture);
+    let on_line _ = ignore (Bytes.length line_capture) in
+    let on_done _ = ignore (Bytes.length done_capture) in
+    match Pool.submit pool ~on_line ~on_done (stuckat_job ~steps:8) with
+    | Ok id -> id
+    | Error e -> failf "submit: %s" e
+  in
+  let id = (Sys.opaque_identity submit) () in
+  Pool.wait pool;
+  Gc.full_major ();
+  Gc.full_major ();
+  check bool "job still listed" true (contains (Json.to_string (Pool.list pool)) id);
+  check bool "on_line capture collected" true (Weak.get weak 0 = None);
+  check bool "on_done capture collected" true (Weak.get weak 1 = None);
+  Pool.drain pool
+
+let jobs_listed pool =
+  match Json.member "jobs" (Pool.list pool) with
+  | Some (Json.List l) -> List.length l
+  | _ -> fail "jobs snapshot without a jobs list"
+
+let test_pool_forgets_old_finished_jobs () =
+  let n = Pool.finished_kept + 20 in
+  let pool = Pool.create ~workers:1 ~queue_limit:n () in
+  let ids =
+    List.init n (fun _ ->
+        match Pool.submit pool (stuckat_job ~steps:2) with
+        | Ok id -> id
+        | Error e -> failf "submit: %s" e)
+  in
+  Pool.wait pool;
+  check int "finished jobs capped" Pool.finished_kept (jobs_listed pool);
+  let listing = Json.to_string (Pool.list pool) in
+  check bool "newest job kept" true
+    (contains listing (Printf.sprintf "\"%s\"" (List.nth ids (n - 1))));
+  check bool "oldest job forgotten" false
+    (contains listing (Printf.sprintf "\"%s\"" (List.hd ids)));
+  check bool "forgotten id not cancellable" false (Pool.cancel pool (List.hd ids));
+  Pool.drain pool
+
 (* ---- daemon ---- *)
 
-let test_daemon_roundtrip () =
+(* run [f socket] against an in-process one-worker daemon *)
+let with_daemon tag f =
   let socket =
     Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "simcov-test-%d.sock" (Unix.getpid ()))
+      (Printf.sprintf "simcov-test-%s-%d.sock" tag (Unix.getpid ()))
   in
   let server =
     Domain.spawn (fun () -> Daemon.serve ~socket ~workers:1 ())
@@ -418,7 +478,10 @@ let test_daemon_roundtrip () =
       match Domain.join server with
       | Ok () -> ()
       | Error e -> failf "serve failed: %s" e)
-    (fun () ->
+    (fun () -> f socket)
+
+let test_daemon_roundtrip () =
+  with_daemon "rt" (fun socket ->
       (match Daemon.ping ~socket with
       | Ok j -> check bool "ping ok" true (Json.member "ok" j = Some (Json.Bool true))
       | Error e -> failf "ping: %s" e);
@@ -461,6 +524,49 @@ let test_daemon_roundtrip () =
             (Option.bind (Json.member "status" env) Json.to_string_opt)
       | Error e -> failf "stats submit: %s" e)
 
+(* Resident memory of the process, in kB, where /proc exposes it. *)
+let vm_rss_kb () =
+  match In_channel.with_open_text "/proc/self/status" In_channel.input_all with
+  | exception Sys_error _ -> None
+  | status ->
+      String.split_on_char '\n' status
+      |> List.find_map (fun line ->
+             match String.split_on_char ':' line with
+             | [ "VmRSS"; v ] ->
+                 int_of_string_opt (String.trim (List.hd (String.split_on_char 'k' v)))
+             | _ -> None)
+
+(* A daemon serving several hundred jobs, one connection each, must not
+   grow with the jobs it has served: it joins finished connection
+   domains and forgets old finished jobs and their callbacks. *)
+let test_daemon_memory_flat () =
+  if vm_rss_kb () <> None then
+    with_daemon "mem" (fun socket ->
+        let serve_jobs n =
+          for _ = 1 to n do
+            match Daemon.submit ~socket (stuckat_job ~steps:16) with
+            | Ok env ->
+                if Json.member "status" env <> Some (Json.String "done") then
+                  fail "job not done"
+            | Error e -> failf "submit: %s" e
+          done
+        in
+        let rss_after n =
+          serve_jobs n;
+          Gc.full_major ();
+          Option.get (vm_rss_kb ())
+        in
+        (* a leak grows every window (2-5 MB per 100 jobs when
+           resolved jobs kept their callbacks); a healthy heap only
+           steps up now and then as the GC expands it, and at least
+           one window stays under a few hundred kB *)
+        let start = rss_after 100 in
+        let marks = List.init 4 (fun _ -> rss_after 100) in
+        let growths = List.map2 ( - ) marks (start :: List.filteri (fun i _ -> i < 3) marks) in
+        if List.for_all (fun g -> g > 1024) growths then
+          failf "resident memory grew in every 100-job window: %s kB"
+            (String.concat ", " (List.map string_of_int growths)))
+
 let suite =
   [
     test_case "job JSON round-trips exactly" `Quick test_job_roundtrip;
@@ -477,4 +583,8 @@ let suite =
     test_case "pool: concurrent identical jobs" `Quick test_pool_concurrent_same_job;
     test_case "pool: cancel and drain" `Quick test_pool_cancel_and_drain;
     test_case "daemon: socket round-trip and drain" `Quick test_daemon_roundtrip;
+    test_case "pool: resolved job releases its callbacks" `Quick
+      test_pool_releases_callbacks;
+    test_case "pool: finished jobs capped" `Quick test_pool_forgets_old_finished_jobs;
+    test_case "daemon: memory flat over 500 jobs" `Quick test_daemon_memory_flat;
   ]
