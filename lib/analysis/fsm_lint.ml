@@ -377,57 +377,83 @@ let pad_word (m : Fsm.t) word ~k =
    with Exit -> ());
   word @ List.rev !pad
 
+type r1 = {
+  r1_escaping : int;
+  r1_sites : int;
+  r1_example : (int * int * int * (int * int)) option;
+}
+
+module Int_tbl = Hashtbl.Make (Int)
+
+(* R1: non-uniform output errors (Definition 2 fails). A
+   Conditional_output fault at site (s, i) conditioned on predecessor
+   transition p fires only when the word traverses (s, i) immediately
+   after p. The check is purely structural: one replay of the word
+   collects, per site, the predecessor contexts actually exercised;
+   every graph predecessor outside that set is a concrete escaping
+   fault — no per-fault simulation needed.
+
+   Sites and contexts are ints ([site = s * n_inputs + i], a context
+   [site * n_sites + prev]). The replay follows real transitions from
+   the reset state, so every context it exercises is a graph
+   predecessor of its site: the escaping count of a site is its
+   predecessor count minus its distinct exercised contexts, and
+   membership is only looked up to name the example. *)
+let r1_of_transitions (m : Fsm.t) transitions word =
+  let ni = m.Fsm.n_inputs in
+  let n_sites = m.Fsm.n_states * ni in
+  let contexts = Int_tbl.create 256 in
+  let exercised = Array.make n_sites 0 in
+  let prev = ref (-1) in
+  let s = ref m.Fsm.reset in
+  List.iter
+    (fun i ->
+      if m.Fsm.valid !s i then begin
+        let site = (!s * ni) + i in
+        if !prev >= 0 then begin
+          let ctx = (site * n_sites) + !prev in
+          if not (Int_tbl.mem contexts ctx) then begin
+            Int_tbl.add contexts ctx ();
+            exercised.(site) <- exercised.(site) + 1
+          end
+        end;
+        prev := site;
+        s := m.Fsm.next !s i
+      end)
+    word;
+  let preds = Array.make m.Fsm.n_states 0 in
+  List.iter (fun (_, _, s', _) -> preds.(s') <- preds.(s') + 1) transitions;
+  let escaping = ref 0 and sites = ref 0 and example = ref None in
+  List.iter
+    (fun (s, i, _, o) ->
+      let site = (s * ni) + i in
+      if preds.(s) >= 2 && exercised.(site) < preds.(s) then begin
+        incr sites;
+        escaping := !escaping + preds.(s) - exercised.(site);
+        if !example = None then begin
+          (* the first escaping predecessor in the order the tuple-keyed
+             pass listed them: latest transition first *)
+          let escapes (ps, pi, s', _) =
+            s' = s && not (Int_tbl.mem contexts ((site * n_sites) + (ps * ni) + pi))
+          in
+          match List.find_opt escapes (List.rev transitions) with
+          | Some (ps, pi, _, _) -> example := Some (s, i, o, (ps, pi))
+          | None -> ()
+        end
+      end)
+    transitions;
+  { r1_escaping = !escaping; r1_sites = !sites; r1_example = !example }
+
+let r1_escapes m word = r1_of_transitions m (Fsm.transitions m) word
+
 let check_fault_structural (m : Fsm.t) rng tour ~k =
   let word = pad_word m tour.Tour.word ~k in
   let diags = ref [] in
   let add d = diags := d :: !diags in
   let transitions = Fsm.transitions m in
-  (* R1: non-uniform output errors (Definition 2 fails). A
-     Conditional_output fault at site (s, i) conditioned on
-     predecessor transition p fires only when the tour traverses
-     (s, i) immediately after p. The check is purely structural: one
-     replay of the tour collects, per site, the set of predecessor
-     contexts actually exercised; any graph predecessor outside that
-     set is a concrete escaping fault — no per-fault simulation
-     needed. *)
-  let contexts = Hashtbl.create 256 in
-  (* (site, prev) pairs the tour exercises *)
-  let prev = ref None in
-  let s = ref m.Fsm.reset in
-  List.iter
-    (fun i ->
-      if m.Fsm.valid !s i then begin
-        (match !prev with
-        | Some p -> Hashtbl.replace contexts ((!s, i), p) ()
-        | None -> ());
-        prev := Some (!s, i);
-        s := m.Fsm.next !s i
-      end)
-    word;
-  let incoming = Hashtbl.create 64 in
-  List.iter
-    (fun (s, i, s', _) ->
-      Hashtbl.replace incoming s'
-        ((s, i) :: (Option.value ~default:[] (Hashtbl.find_opt incoming s'))))
-    transitions;
-  let r1 = ref 0 and sites = ref 0 and example = ref None in
-  List.iter
-    (fun (s, i, _, o) ->
-      let preds = Option.value ~default:[] (Hashtbl.find_opt incoming s) in
-      if List.length preds >= 2 then begin
-        let escaping =
-          List.filter (fun p -> not (Hashtbl.mem contexts ((s, i), p))) preds
-        in
-        if escaping <> [] then begin
-          incr sites;
-          r1 := !r1 + List.length escaping;
-          if !example = None then
-            example := Some (s, i, o, List.hd escaping)
-        end
-      end)
-    transitions;
-  (match !example with
-  | Some (s, i, o, p) when !r1 > 0 ->
+  let r1 = r1_of_transitions m transitions word in
+  (match r1.r1_example with
+  | Some (s, i, o, p) ->
       let fault =
         Fault.Conditional_output { state = s; input = i; wrong_output = o + 1; prev = p }
       in
@@ -444,11 +470,11 @@ let check_fault_structural (m : Fsm.t) rng tour ~k =
                transition tour (Requirement 1): e.g. an error on %s firing \
                only after %s is never excited — the tour takes that \
                transition after a different predecessor%s"
-              !r1
-              (if !r1 = 1 then "" else "s")
-              !sites
-              (if !sites = 1 then "" else "s")
-              (if !r1 = 1 then "s" else "")
+              r1.r1_escaping
+              (if r1.r1_escaping = 1 then "" else "s")
+              r1.r1_sites
+              (if r1.r1_sites = 1 then "" else "s")
+              (if r1.r1_escaping = 1 then "s" else "")
               (trans_name m s i)
               (trans_name m (fst p) (snd p))
               (if escapes then "" else " (exposed elsewhere on this tour)")))

@@ -91,6 +91,29 @@ val run :
     the population is too large to enumerate (default 7). [suite] is a
     list of input words to analyze with the suite-cover pass. *)
 
+(** {1 Requirement 1, structurally} *)
+
+type r1 = {
+  r1_escaping : int;
+      (** non-uniform output errors the word never excites: one per
+          (site, graph predecessor) pair of a site with at least two
+          predecessors that the word never takes in that order *)
+  r1_sites : int;  (** sites with at least one escaping predecessor *)
+  r1_example : (int * int * int * (int * int)) option;
+      (** the SA640 witness [(state, input, output, (prev_state,
+          prev_input))]: the first escaping site in
+          {!Simcov_fsm.Fsm.transitions} order and its first escaping
+          predecessor, latest transition first; [None] iff
+          [r1_escaping = 0] *)
+}
+
+val r1_escapes : Fsm.t -> int list -> r1
+(** [r1_escapes m word] replays [word] from the reset state (invalid
+    inputs are skipped) and counts the conditional-output faults it
+    cannot excite — the figures the [fault-structural] pass reports as
+    SA640, where [word] is the transition tour padded by the certified
+    [k]. Inputs must lie in [0, n_inputs). *)
+
 val count : report -> Diag.severity -> int
 val worst : report -> Diag.severity option
 

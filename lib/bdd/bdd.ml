@@ -21,10 +21,14 @@ type t = False | True | Node of { mutable v : int; mutable lo : t; mutable hi : 
 (* ------------------------------------------------------------------ *)
 (* Telemetry                                                           *)
 (*                                                                     *)
-(* Process-global counters shared by every manager (cf. the Obs        *)
-(* overhead contract: each probe below is one int store, which is what *)
-(* lets them sit inside the cache-lookup hot paths). The live/peak     *)
-(* gauges track the manager that allocated or collected most recently. *)
+(* Process-global counters shared by every manager. The hot paths      *)
+(* (cache probes, node creation) do not touch them: they count into    *)
+(* plain mutable ints on the manager, which [flush_obs] adds to the    *)
+(* current registry when the outermost public operation exits, and     *)
+(* before a collection or a reorder reports its own figures. A reader  *)
+(* between operations therefore sees exactly the per-probe values. The *)
+(* live/peak gauges track the manager that allocated or collected most *)
+(* recently.                                                           *)
 (* ------------------------------------------------------------------ *)
 
 module Obs = Simcov_obs.Obs
@@ -49,6 +53,24 @@ let c_reorder_runs = Obs.counter "bdd.reorder.runs"
 let c_reorder_swaps = Obs.counter "bdd.reorder.swaps"
 let g_reorder_before = Obs.gauge "bdd.reorder.nodes_before"
 let g_reorder_after = Obs.gauge "bdd.reorder.nodes_after"
+
+(* the per-probe counters, as slots of a manager's pending counts *)
+let k_unique_hit = 0
+let k_unique_miss = 1
+let k_and_hit = 2
+let k_and_miss = 3
+let k_or_hit = 4
+let k_or_miss = 5
+let k_xor_hit = 6
+let k_xor_miss = 7
+let k_not_hit = 8
+let k_not_miss = 9
+let k_ite_hit = 10
+let k_ite_miss = 11
+
+let probe_counters =
+  [| c_unique_hit; c_unique_miss; c_and_hit; c_and_miss; c_or_hit; c_or_miss;
+     c_xor_hit; c_xor_miss; c_not_hit; c_not_miss; c_ite_hit; c_ite_miss |]
 
 let uid_bits = 26
 let uid_limit = 1 lsl uid_bits
@@ -96,15 +118,42 @@ module Itab = struct
       dummy;
     }
 
+  (* The probe loops are top-level functions taking their state as
+     arguments: a local [let rec] closing over the table would be
+     allocated as a closure on every probe. *)
+
+  let rec probe_find keys k m i =
+    let key = Array.unsafe_get keys i in
+    if key = k then i
+    else if key = empty_key then -1
+    else probe_find keys k m ((i + 1) land m)
+
   (* index of [k], or -1 when absent; tombstones are skipped *)
   let find_idx t k =
-    let m = Array.length t.keys - 1 in
     let keys = t.keys in
-    let rec go i =
-      let key = Array.unsafe_get keys i in
-      if key = k then i else if key = empty_key then -1 else go ((i + 1) land m)
-    in
-    go (mix k land m)
+    let m = Array.length keys - 1 in
+    probe_find keys k m (mix k land m)
+
+  (* first empty slot on [k]'s probe path, in a table without
+     tombstones *)
+  let rec probe_empty keys m j =
+    if Array.unsafe_get keys j = empty_key then j
+    else probe_empty keys m ((j + 1) land m)
+
+  (* index of [k] when present; otherwise [-2 - slot], where [slot] is
+     the one an insertion of [k] takes: the first tombstone on the
+     probe path, else the empty slot that ends it *)
+  let rec probe_slot keys k m i tomb =
+    let key = Array.unsafe_get keys i in
+    if key = k then i
+    else if key = empty_key then -2 - (if tomb >= 0 then tomb else i)
+    else if key = tomb_key && tomb < 0 then probe_slot keys k m ((i + 1) land m) i
+    else probe_slot keys k m ((i + 1) land m) tomb
+
+  let find_slot t k =
+    let keys = t.keys in
+    let m = Array.length keys - 1 in
+    probe_slot keys k m (mix k land m) (-1)
 
   let value t i = Array.unsafe_get t.data i
 
@@ -117,45 +166,42 @@ module Itab = struct
     let n = if 2 * (t.used + 1) > len then 2 * len else len in
     let keys = Array.make n empty_key and data = Array.make n t.dummy in
     let m = n - 1 in
-    Array.iteri
-      (fun i k ->
-        if k <> empty_key && k <> tomb_key then begin
-          let rec go j =
-            if Array.unsafe_get keys j = empty_key then j else go ((j + 1) land m)
-          in
-          let j = go (mix k land m) in
-          keys.(j) <- k;
-          data.(j) <- old_data.(i)
-        end)
-      old_keys;
+    for i = 0 to len - 1 do
+      let k = Array.unsafe_get old_keys i in
+      if k <> empty_key && k <> tomb_key then begin
+        let j = probe_empty keys m (mix k land m) in
+        keys.(j) <- k;
+        data.(j) <- old_data.(i)
+      end
+    done;
     t.keys <- keys;
     t.data <- data;
     t.filled <- t.used
 
+  let needs_resize t = 4 * (t.filled + 1) > 3 * Array.length t.keys
+
+  (* store [v] under [k] at the slot [probe_slot] reported, without
+     probing again *)
+  let store_at t code k v =
+    if code >= 0 then Array.unsafe_set t.data code v
+    else begin
+      let s = -2 - code in
+      if Array.unsafe_get t.keys s = empty_key then t.filled <- t.filled + 1;
+      Array.unsafe_set t.keys s k;
+      Array.unsafe_set t.data s v;
+      t.used <- t.used + 1
+    end
+
   let add t k v =
-    if 4 * (t.filled + 1) > 3 * Array.length t.keys then resize t;
-    let m = Array.length t.keys - 1 in
-    (* remember the first tombstone on the probe path: if the key is
-       absent it is the insertion slot *)
-    let rec go i tomb =
-      let key = Array.unsafe_get t.keys i in
-      if key = empty_key then begin
-        if tomb >= 0 then begin
-          t.keys.(tomb) <- k;
-          t.data.(tomb) <- v
-        end
-        else begin
-          t.keys.(i) <- k;
-          t.data.(i) <- v;
-          t.filled <- t.filled + 1
-        end;
-        t.used <- t.used + 1
-      end
-      else if key = k then t.data.(i) <- v
-      else if key = tomb_key && tomb < 0 then go ((i + 1) land m) i
-      else go ((i + 1) land m) tomb
-    in
-    go (mix k land m) (-1)
+    if needs_resize t then resize t;
+    store_at t (find_slot t k) k v
+
+  (* [insert_absent t code k v] inserts a key that [find_slot] just
+     reported absent as [code]: the one-probe miss path of the unique
+     table. The table grows on exactly the condition [add] uses; only
+     then are the slots re-probed. *)
+  let insert_absent t code k v =
+    if needs_resize t then add t k v else store_at t code k v
 
   let remove t k =
     let i = find_idx t k in
@@ -198,15 +244,16 @@ module Itab2 = struct
 
   let hash a b = mix (a lxor mix b)
 
+  let rec probe_find ka kb a b m i =
+    let key = Array.unsafe_get ka i in
+    if key = a && Array.unsafe_get kb i = b then i
+    else if key = empty_key then -1
+    else probe_find ka kb a b m ((i + 1) land m)
+
   let find_idx t a b =
-    let m = Array.length t.ka - 1 in
-    let rec go i =
-      let key = Array.unsafe_get t.ka i in
-      if key = a && Array.unsafe_get t.kb i = b then i
-      else if key = empty_key then -1
-      else go ((i + 1) land m)
-    in
-    go (hash a b land m)
+    let ka = t.ka in
+    let m = Array.length ka - 1 in
+    probe_find ka t.kb a b m (hash a b land m)
 
   let value t i = Array.unsafe_get t.data i
 
@@ -217,38 +264,38 @@ module Itab2 = struct
     and kb = Array.make n 0
     and data = Array.make n t.dummy in
     let m = n - 1 in
-    Array.iteri
-      (fun i a ->
-        if a <> empty_key then begin
-          let b = old_kb.(i) in
-          let rec go j =
-            if Array.unsafe_get ka j = empty_key then j else go ((j + 1) land m)
-          in
-          let j = go (hash a b land m) in
-          ka.(j) <- a;
-          kb.(j) <- b;
-          data.(j) <- old_data.(i)
-        end)
-      old_ka;
+    for i = 0 to Array.length old_ka - 1 do
+      let a = Array.unsafe_get old_ka i in
+      if a <> empty_key then begin
+        let b = old_kb.(i) in
+        let j = Itab.probe_empty ka m (hash a b land m) in
+        ka.(j) <- a;
+        kb.(j) <- b;
+        data.(j) <- old_data.(i)
+      end
+    done;
     t.ka <- ka;
     t.kb <- kb;
     t.data <- data
 
+  (* the slot holding (a, b), else the empty slot ending its probe
+     path (this table never deletes, so it has no tombstones) *)
+  let rec probe_slot ka kb a b m i =
+    let key = Array.unsafe_get ka i in
+    if key = empty_key || (key = a && Array.unsafe_get kb i = b) then i
+    else probe_slot ka kb a b m ((i + 1) land m)
+
   let add t a b v =
     if 4 * (t.used + 1) > 3 * Array.length t.ka then resize t;
-    let m = Array.length t.ka - 1 in
-    let rec go i =
-      let key = Array.unsafe_get t.ka i in
-      if key = empty_key then begin
-        t.ka.(i) <- a;
-        t.kb.(i) <- b;
-        t.data.(i) <- v;
-        t.used <- t.used + 1
-      end
-      else if key = a && Array.unsafe_get t.kb i = b then t.data.(i) <- v
-      else go ((i + 1) land m)
-    in
-    go (hash a b land m)
+    let ka = t.ka in
+    let m = Array.length ka - 1 in
+    let i = probe_slot ka t.kb a b m (hash a b land m) in
+    if Array.unsafe_get ka i = empty_key then begin
+      ka.(i) <- a;
+      t.kb.(i) <- b;
+      t.used <- t.used + 1
+    end;
+    t.data.(i) <- v
 end
 
 (* ------------------------------------------------------------------ *)
@@ -311,6 +358,16 @@ type man = {
   mutable last_before : int;
   mutable last_after : int;
   mutable refs : int array;  (* uid -> refcount; non-empty during a sift only *)
+  (* telemetry not yet flushed to Obs (see [flush_obs]): probe counts
+     by [k_*] slot *)
+  pending : int array;
+  (* live count after the window's last node creation, and the window's
+     largest one; -1 when the window created no node. The peak is per
+     window, not the manager's lifetime peak: a manager shared across
+     registries must raise each registry's gauge only to what it
+     reached while that registry was current. *)
+  mutable win_live : int;
+  mutable win_peak : int;
 }
 
 exception Node_limit of int
@@ -368,7 +425,31 @@ let man ?(cache_size = 1 lsl 14) ?max_nodes nvars =
     last_before = 0;
     last_after = 0;
     refs = [||];
+    pending = Array.make (Array.length probe_counters) 0;
+    win_live = -1;
+    win_peak = -1;
   }
+
+let[@inline] bump m k = Array.unsafe_set m.pending k (Array.unsafe_get m.pending k + 1)
+
+(* Hand the pending telemetry to the current registry. Additions
+   commute, and the gauges get the window's last live count and its
+   maximum, so the registry ends up where one Obs call per probe would
+   have left it. *)
+let flush_obs m =
+  Array.iteri
+    (fun k n ->
+      if n > 0 then begin
+        Obs.add probe_counters.(k) n;
+        m.pending.(k) <- 0
+      end)
+    m.pending;
+  if m.win_live >= 0 then begin
+    Obs.set g_nodes_live m.win_live;
+    Obs.set_max g_nodes_peak m.win_peak;
+    m.win_live <- -1;
+    m.win_peak <- -1
+  end
 
 let num_vars m = m.nvars
 let live_nodes m = m.live
@@ -457,6 +538,8 @@ let clear_caches m =
   m.ite_cache <- Itab2.create (m.cache_size0 / 4) False
 
 let gc m =
+  (* the pending gauges predate this collection's [bdd.nodes.live] *)
+  flush_obs m;
   (* mark: recursion depth is bounded by the variable count (levels
      strictly increase along lo/hi edges) *)
   let marked = Bytes.make (max 2 m.next_uid) '\000' in
@@ -558,7 +641,8 @@ let run_op m args f =
     Fun.protect
       ~finally:(fun () ->
         m.temp_roots <- saved;
-        m.op_depth <- 0)
+        m.op_depth <- 0;
+        flush_obs m)
       (fun () ->
         let governed = m.max_nodes < uid_limit || Hashtbl.length m.roots > 0 in
         let rec attempt tries =
@@ -589,20 +673,22 @@ let mk m v lo hi =
   else begin
     let tab = m.subtables.(v) in
     let key = pack2 (id lo) (id hi) in
-    let i = Itab.find_idx tab key in
+    (* one probe: a miss reports the insertion slot too *)
+    let i = Itab.find_slot tab key in
     if i >= 0 then begin
-      Obs.incr c_unique_hit;
+      bump m k_unique_hit;
       Itab.value tab i
     end
     else begin
       if m.live >= m.max_nodes then raise Gc_needed;
-      Obs.incr c_unique_miss;
+      bump m k_unique_miss;
       let n = Node { v; lo; hi; uid = alloc_uid m } in
-      Itab.add tab key n;
-      m.live <- m.live + 1;
-      if m.live > m.peak_live then m.peak_live <- m.live;
-      Obs.set g_nodes_live m.live;
-      Obs.set_max g_nodes_peak m.live;
+      Itab.insert_absent tab i key n;
+      let live = m.live + 1 in
+      m.live <- live;
+      if live > m.peak_live then m.peak_live <- live;
+      m.win_live <- live;
+      if live > m.win_peak then m.win_peak <- live;
       n
     end
   end
@@ -665,10 +751,18 @@ let lvl m = function
   | False | True -> max_int
   | Node n -> Array.unsafe_get m.level_of_var n.v
 
-let cof t v =
+(* The cofactors of [t] on the split variable [v]: two selectors
+   rather than one function returning a pair, which would allocate a
+   tuple per call. *)
+let lo_on t v =
   match t with
-  | Node n when n.v = v -> (n.lo, n.hi)
-  | _ -> (t, t)
+  | Node n when n.v = v -> n.lo
+  | False | True | Node _ -> t
+
+let hi_on t v =
+  match t with
+  | Node n when n.v = v -> n.hi
+  | False | True | Node _ -> t
 
 (* The split variable of a binary operation: whichever operand's top
    variable sits higher in the order. *)
@@ -684,11 +778,11 @@ let rec bnot_rec m t =
   | Node n -> (
       let i = Itab.find_idx m.not_cache n.uid in
       if i >= 0 then begin
-        Obs.incr c_not_hit;
+        bump m k_not_hit;
         Itab.value m.not_cache i
       end
       else begin
-        Obs.incr c_not_miss;
+        bump m k_not_miss;
         let r = mk m n.v (bnot_rec m n.lo) (bnot_rec m n.hi) in
         Itab.add m.not_cache n.uid r;
         r
@@ -708,14 +802,17 @@ let rec band_rec m a b =
         in
         let i = Itab.find_idx m.and_cache key in
         if i >= 0 then begin
-          Obs.incr c_and_hit;
+          bump m k_and_hit;
           Itab.value m.and_cache i
         end
         else begin
-          Obs.incr c_and_miss;
+          bump m k_and_miss;
           let v = top2 m na.v nb.v in
-          let alo, ahi = cof a v and blo, bhi = cof b v in
-          let r = mk m v (band_rec m alo blo) (band_rec m ahi bhi) in
+          let r =
+            mk m v
+              (band_rec m (lo_on a v) (lo_on b v))
+              (band_rec m (hi_on a v) (hi_on b v))
+          in
           Itab.add m.and_cache key r;
           r
         end
@@ -738,14 +835,17 @@ let rec bor_rec m a b =
         in
         let i = Itab.find_idx m.or_cache key in
         if i >= 0 then begin
-          Obs.incr c_or_hit;
+          bump m k_or_hit;
           Itab.value m.or_cache i
         end
         else begin
-          Obs.incr c_or_miss;
+          bump m k_or_miss;
           let v = top2 m na.v nb.v in
-          let alo, ahi = cof a v and blo, bhi = cof b v in
-          let r = mk m v (bor_rec m alo blo) (bor_rec m ahi bhi) in
+          let r =
+            mk m v
+              (bor_rec m (lo_on a v) (lo_on b v))
+              (bor_rec m (hi_on a v) (hi_on b v))
+          in
           Itab.add m.or_cache key r;
           r
         end
@@ -765,14 +865,17 @@ let rec bxor_rec m a b =
         in
         let i = Itab.find_idx m.xor_cache key in
         if i >= 0 then begin
-          Obs.incr c_xor_hit;
+          bump m k_xor_hit;
           Itab.value m.xor_cache i
         end
         else begin
-          Obs.incr c_xor_miss;
+          bump m k_xor_miss;
           let v = top2 m na.v nb.v in
-          let alo, ahi = cof a v and blo, bhi = cof b v in
-          let r = mk m v (bxor_rec m alo blo) (bxor_rec m ahi bhi) in
+          let r =
+            mk m v
+              (bxor_rec m (lo_on a v) (lo_on b v))
+              (bxor_rec m (hi_on a v) (hi_on b v))
+          in
           Itab.add m.xor_cache key r;
           r
         end
@@ -797,17 +900,18 @@ let rec ite_rec m c t e =
         let ka = pack2 (id c) (id t) and kb = id e in
         let i = Itab2.find_idx m.ite_cache ka kb in
         if i >= 0 then begin
-          Obs.incr c_ite_hit;
+          bump m k_ite_hit;
           Itab2.value m.ite_cache i
         end
         else begin
-          Obs.incr c_ite_miss;
+          bump m k_ite_miss;
           let l = min (lvl m c) (min (lvl m t) (lvl m e)) in
           let v = m.var_of_level.(l) in
-          let clo, chi = cof c v
-          and tlo, thi = cof t v
-          and elo, ehi = cof e v in
-          let r = mk m v (ite_rec m clo tlo elo) (ite_rec m chi thi ehi) in
+          let r =
+            mk m v
+              (ite_rec m (lo_on c v) (lo_on t v) (lo_on e v))
+              (ite_rec m (hi_on c v) (hi_on t v) (hi_on e v))
+          in
           Itab2.add m.ite_cache ka kb r;
           r
         end
@@ -891,13 +995,13 @@ let and_exists_impl m vset f g =
         else begin
           let l = min (lvl m f) (lvl m g) in
           let v = m.var_of_level.(l) in
-          let flo, fhi = cof f v and glo, ghi = cof g v in
           let r =
             if vset.(v) then begin
-              let lo = go flo glo in
-              if is_true lo then True else bor_rec m lo (go fhi ghi)
+              let lo = go (lo_on f v) (lo_on g v) in
+              if is_true lo then True
+              else bor_rec m lo (go (hi_on f v) (hi_on g v))
             end
-            else mk m v (go flo glo) (go fhi ghi)
+            else mk m v (go (lo_on f v) (lo_on g v)) (go (hi_on f v) (hi_on g v))
           in
           Itab.add cache key r;
           r

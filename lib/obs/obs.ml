@@ -108,9 +108,15 @@ let counter name = intern counters name (fun () -> { c_name = name; c_cells = []
 let gauge name = intern gauges name (fun () -> { g_name = name; g_cells = [] })
 let timer name = intern timers name (fun () -> { t_name = name; t_cells = [] })
 
-let rec assq_phys r = function
-  | [] -> None
-  | (r', v) :: tl -> if r' == r then Some v else assq_phys r tl
+(* [none] is returned when the registry has no cell on this handle
+   yet: a physical sentinel instead of an option keeps the lookup free
+   of allocation *)
+let rec assq_phys none r = function
+  | [] -> none
+  | (r', v) :: tl -> if r' == r then v else assq_phys none r tl
+
+let no_int_cell : int Atomic.t = Atomic.make 0
+let no_timer_cell = { tc_spans = 0; tc_total_s = 0.0 }
 
 (* cell resolution: lock-free fast path over the COW list, lock-guarded
    slow path that creates the cell in the registry and publishes the
@@ -118,63 +124,66 @@ let rec assq_phys r = function
    see either list, both correct) *)
 let c_cell h =
   let r = current () in
-  match assq_phys r h.c_cells with
-  | Some c -> c
-  | None ->
-      locked (fun () ->
-          match assq_phys r h.c_cells with
-          | Some c -> c
-          | None ->
-              let c =
-                match Hashtbl.find_opt r.r_counters h.c_name with
-                | Some c -> c
-                | None ->
-                    let c = Atomic.make 0 in
-                    Hashtbl.add r.r_counters h.c_name c;
-                    c
-              in
-              h.c_cells <- (r, c) :: h.c_cells;
-              c)
+  let c = assq_phys no_int_cell r h.c_cells in
+  if c != no_int_cell then c
+  else
+    locked (fun () ->
+        let c = assq_phys no_int_cell r h.c_cells in
+        if c != no_int_cell then c
+        else begin
+          let c =
+            match Hashtbl.find_opt r.r_counters h.c_name with
+            | Some c -> c
+            | None ->
+                let c = Atomic.make 0 in
+                Hashtbl.add r.r_counters h.c_name c;
+                c
+          in
+          h.c_cells <- (r, c) :: h.c_cells;
+          c
+        end)
 
 let g_cell h =
   let r = current () in
-  match assq_phys r h.g_cells with
-  | Some c -> c
-  | None ->
-      locked (fun () ->
-          match assq_phys r h.g_cells with
-          | Some c -> c
-          | None ->
-              let c =
-                match Hashtbl.find_opt r.r_gauges h.g_name with
-                | Some c -> c
-                | None ->
-                    let c = Atomic.make 0 in
-                    Hashtbl.add r.r_gauges h.g_name c;
-                    c
-              in
-              h.g_cells <- (r, c) :: h.g_cells;
-              c)
+  let c = assq_phys no_int_cell r h.g_cells in
+  if c != no_int_cell then c
+  else
+    locked (fun () ->
+        let c = assq_phys no_int_cell r h.g_cells in
+        if c != no_int_cell then c
+        else begin
+          let c =
+            match Hashtbl.find_opt r.r_gauges h.g_name with
+            | Some c -> c
+            | None ->
+                let c = Atomic.make 0 in
+                Hashtbl.add r.r_gauges h.g_name c;
+                c
+          in
+          h.g_cells <- (r, c) :: h.g_cells;
+          c
+        end)
 
 let t_cell h =
   let r = current () in
-  match assq_phys r h.t_cells with
-  | Some c -> c
-  | None ->
-      locked (fun () ->
-          match assq_phys r h.t_cells with
-          | Some c -> c
-          | None ->
-              let c =
-                match Hashtbl.find_opt r.r_timers h.t_name with
-                | Some c -> c
-                | None ->
-                    let c = { tc_spans = 0; tc_total_s = 0.0 } in
-                    Hashtbl.add r.r_timers h.t_name c;
-                    c
-              in
-              h.t_cells <- (r, c) :: h.t_cells;
-              c)
+  let c = assq_phys no_timer_cell r h.t_cells in
+  if c != no_timer_cell then c
+  else
+    locked (fun () ->
+        let c = assq_phys no_timer_cell r h.t_cells in
+        if c != no_timer_cell then c
+        else begin
+          let c =
+            match Hashtbl.find_opt r.r_timers h.t_name with
+            | Some c -> c
+            | None ->
+                let c = { tc_spans = 0; tc_total_s = 0.0 } in
+                Hashtbl.add r.r_timers h.t_name c;
+                c
+          in
+          h.t_cells <- (r, c) :: h.t_cells;
+          c
+        end)
 
 let release r =
   if r != default_registry then
@@ -196,13 +205,12 @@ let[@inline] incr c = ignore (Atomic.fetch_and_add (c_cell c) 1)
 let[@inline] add c n = ignore (Atomic.fetch_and_add (c_cell c) n)
 let[@inline] set g v = Atomic.set (g_cell g) v
 
-let set_max g v =
-  let cell = g_cell g in
-  let rec go () =
-    let cur = Atomic.get cell in
-    if v > cur && not (Atomic.compare_and_set cell cur v) then go ()
-  in
-  go ()
+(* top level, not a local closure: the retry loop allocates nothing *)
+let rec cas_max cell v =
+  let cur = Atomic.get cell in
+  if v > cur && not (Atomic.compare_and_set cell cur v) then cas_max cell v
+
+let set_max g v = cas_max (g_cell g) v
 
 let count c = Atomic.get (c_cell c)
 let value g = Atomic.get (g_cell g)

@@ -11,11 +11,15 @@
     {b Overhead contract.} The layer must be near-free when nobody is
     looking:
     - {!incr} / {!add} / {!set} / {!set_max} are a single atomic
-      read-modify-write on a preallocated cell — no allocation, no
-      lock, no branch on an "enabled" flag — plus the cell resolution:
-      one domain-local read and a pointer-equality scan of the
-      handle's (tiny, immutable) registry cache. These are safe in the
-      hottest loops (BDD cache probes).
+      read-modify-write on a preallocated cell — no lock, no branch on
+      an "enabled" flag — plus the cell resolution: one domain-local
+      read and a pointer-equality scan of the handle's (tiny,
+      immutable) registry cache. Once the current registry's cell
+      exists (the first bump creates it, under the lock), none of them
+      allocates a word. Still, each is an atomic operation behind a
+      domain-local read: a loop that runs millions of times (the BDD
+      kernel's cache probes) counts into plain ints and adds the total
+      once.
     - {!observe} adds a float to an accumulator; {!span} additionally
       pays two clock reads. Use them at batch/iteration granularity,
       not per node.

@@ -3,20 +3,22 @@
    inversions folded into [update] so a running value is always a
    finished CRC. *)
 
+(* Built eagerly at module initialisation. A [lazy] table raced: two
+   domains forcing it at once made one of them raise
+   [CamlinternalLazy.Undefined]. *)
 let table =
-  lazy
-    (Array.init 256 (fun n ->
-         let c = ref (Int32.of_int n) in
-         for _ = 0 to 7 do
-           c :=
-             if Int32.logand !c 1l <> 0l then
-               Int32.logxor 0xEDB88320l (Int32.shift_right_logical !c 1)
-             else Int32.shift_right_logical !c 1
-         done;
-         !c))
+  Array.init 256 (fun n ->
+      let c = ref (Int32.of_int n) in
+      for _ = 0 to 7 do
+        c :=
+          if Int32.logand !c 1l <> 0l then
+            Int32.logxor 0xEDB88320l (Int32.shift_right_logical !c 1)
+          else Int32.shift_right_logical !c 1
+      done;
+      !c)
 
 let update crc s =
-  let t = Lazy.force table in
+  let t = table in
   let c = ref (Int32.lognot crc) in
   String.iter
     (fun ch ->

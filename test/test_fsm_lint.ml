@@ -269,6 +269,116 @@ let qcheck_suite_cover_matches_simulation =
           simulated = predicted
           && List.length simulated = s.Fsm_lint.suite_transitions)
 
+(* ---- Requirement 1 (SA640) ---- *)
+
+(* The tuple-keyed R1 pass the int-keyed one replaced, kept as its
+   oracle: per transition, filter the graph predecessors of its source
+   state against the (site, predecessor) contexts the word exercised. *)
+let r1_oracle (m : Fsm.t) word =
+  let transitions = Fsm.transitions m in
+  let contexts = Hashtbl.create 256 in
+  let prev = ref None in
+  let s = ref m.Fsm.reset in
+  List.iter
+    (fun i ->
+      if m.Fsm.valid !s i then begin
+        (match !prev with
+        | Some p -> Hashtbl.replace contexts ((!s, i), p) ()
+        | None -> ());
+        prev := Some (!s, i);
+        s := m.Fsm.next !s i
+      end)
+    word;
+  let incoming = Hashtbl.create 64 in
+  List.iter
+    (fun (s, i, s', _) ->
+      Hashtbl.replace incoming s'
+        ((s, i) :: Option.value ~default:[] (Hashtbl.find_opt incoming s')))
+    transitions;
+  let r1 = ref 0 and sites = ref 0 and example = ref None in
+  List.iter
+    (fun (s, i, _, o) ->
+      let preds = Option.value ~default:[] (Hashtbl.find_opt incoming s) in
+      if List.length preds >= 2 then begin
+        let escaping =
+          List.filter (fun p -> not (Hashtbl.mem contexts ((s, i), p))) preds
+        in
+        if escaping <> [] then begin
+          incr sites;
+          r1 := !r1 + List.length escaping;
+          if !example = None then example := Some (s, i, o, List.hd escaping)
+        end
+      end)
+    transitions;
+  { Fsm_lint.r1_escaping = !r1; r1_sites = !sites; r1_example = !example }
+
+(* State 0 is entered from states 1 and 2, state 2 from states 0 and
+   1. A minimum tour takes each of state 0's transitions about once, so
+   it cannot take each of them after both of its predecessors: a
+   conditional output error escapes and SA640 fires. *)
+let fan_in =
+  Fsm.of_table
+    [ (0, 0, 1, 0); (0, 1, 2, 1); (1, 0, 0, 0); (1, 1, 2, 1); (2, 0, 0, 1) ]
+
+let test_sa640_fires () =
+  let r = Fsm_lint.run ~name:"fan_in" fan_in in
+  Alcotest.(check bool) "fault-structural ran" true
+    (List.mem "fault-structural" r.Fsm_lint.passes);
+  Alcotest.(check bool) "SA640 reported" true (has "SA640" r);
+  let d = diag "SA640" r in
+  Alcotest.(check bool) "a warning" true (d.Diag.severity = Diag.Warning);
+  let tour =
+    match Tour.transition_tour fan_in with
+    | Some t -> t.Tour.word
+    | None -> Alcotest.fail "fan_in has a tour"
+  in
+  let r1 = Fsm_lint.r1_escapes fan_in tour in
+  Alcotest.(check bool) "escapes counted" true (r1.Fsm_lint.r1_escaping > 0);
+  Alcotest.(check bool) "matches the oracle" true (r1 = r1_oracle fan_in tour);
+  Alcotest.(check bool) "message names the requirement" true
+    (contains ~sub:"non-uniform output error" d.Diag.message
+    && contains ~sub:"(Requirement 1)" d.Diag.message)
+
+(* a random machine with a random valid mask (reset always has one
+   valid input), so replays also skip invalid inputs *)
+let random_partial rng ~n_states ~n_inputs =
+  let tab = Array.init (n_states * n_inputs) (fun _ -> Rng.int rng n_states) in
+  let out = Array.init (n_states * n_inputs) (fun _ -> Rng.int rng 3) in
+  let ok =
+    Array.init (n_states * n_inputs) (fun k -> k = 0 || Rng.int rng 4 > 0)
+  in
+  Fsm.make ~n_states ~n_inputs
+    ~valid:(fun s i -> ok.((s * n_inputs) + i))
+    ~next:(fun s i -> tab.((s * n_inputs) + i))
+    ~output:(fun s i -> out.((s * n_inputs) + i))
+    ()
+
+let qcheck_r1_matches_oracle =
+  QCheck.Test.make ~name:"fsm_lint: int-keyed R1 = tuple-keyed oracle" ~count:300
+    QCheck.(
+      quad (int_range 1 9) (int_range 1 4) (int_range 1 9999)
+        (list_of_size Gen.(0 -- 60) (int_bound 1000)))
+    (fun (n, k, seed, word) ->
+      let rng = Rng.create seed in
+      let m =
+        if seed mod 2 = 0 then
+          Fsm.random_connected rng ~n_states:(max 2 n) ~n_inputs:k ~n_outputs:2
+        else random_partial rng ~n_states:n ~n_inputs:k
+      in
+      let word = List.map (fun i -> i mod k) word in
+      Fsm_lint.r1_escapes m word = r1_oracle m word)
+
+(* The fault-structural pass used to spend most of the lint's time and
+   allocation in polymorphic hashing (5.8M minor words on dlx). *)
+let test_dlx_lint_allocation () =
+  let m = Fsm.tabulate (Simcov_dlx.Testmodel.build Simcov_dlx.Testmodel.default) in
+  ignore (Fsm_lint.run ~name:"dlx-test" m);
+  let w0 = Gc.minor_words () in
+  ignore (Fsm_lint.run ~name:"dlx-test" m);
+  let words = Gc.minor_words () -. w0 in
+  if words > 3e6 then
+    Alcotest.failf "Fsm_lint.run on dlx allocated %.0f minor words (bound 3M)" words
+
 let suite =
   [
     Alcotest.test_case "clean machine certified" `Quick test_clean_machine;
@@ -283,4 +393,7 @@ let suite =
     QCheck_alcotest.to_alcotest qcheck_minimized_is_minimal;
     QCheck_alcotest.to_alcotest qcheck_duplicate_state_caught;
     QCheck_alcotest.to_alcotest qcheck_suite_cover_matches_simulation;
+    QCheck_alcotest.to_alcotest qcheck_r1_matches_oracle;
+    Alcotest.test_case "SA640 fires on a fan-in machine" `Quick test_sa640_fires;
+    Alcotest.test_case "dlx lint allocation" `Quick test_dlx_lint_allocation;
   ]

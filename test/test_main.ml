@@ -40,4 +40,5 @@ let () =
       ("campaign", Test_campaign.suite);
       ("covdb", Test_covdb.suite);
       ("service", Test_service.suite);
+      ("golden", Test_golden.suite);
     ]

@@ -276,6 +276,93 @@ let test_budget_node_probe () =
   Alcotest.(check bool) "unlimited ignores probes" true
     (Budget.live_nodes Budget.unlimited = None)
 
+(* The overhead contract: a bump on a resolved cell allocates nothing,
+   under a scoped registry too (its cell sits behind the default one in
+   the handle's resolution list). *)
+let test_bumps_allocate_nothing () =
+  let c = Obs.counter "test.alloc.counter" in
+  let g = Obs.gauge "test.alloc.gauge" in
+  let r = Obs.registry ~label:"alloc" in
+  Fun.protect ~finally:(fun () -> Obs.release r) @@ fun () ->
+  Obs.with_registry r (fun () ->
+      (* resolve the cells first: creating one takes the lock *)
+      Obs.incr c;
+      Obs.set g 0;
+      let w0 = Gc.minor_words () in
+      for i = 1 to 10_000 do
+        Obs.incr c;
+        Obs.add c 2;
+        Obs.set g i;
+        Obs.set_max g (i + 1)
+      done;
+      let words = Gc.minor_words () -. w0 in
+      Alcotest.(check (float 0.)) "minor words for 40k bumps" 0. words;
+      Alcotest.(check int) "counter" 30_001 (Obs.count c);
+      Alcotest.(check int) "gauge" 10_001 (Obs.value g))
+
+(* The kernel counts into its manager and flushes when the outermost
+   public operation exits: a snapshot between operations must show
+   every probe of the operations before it, also when one raised. *)
+let test_bdd_counters_flushed_per_operation () =
+  let r = Obs.registry ~label:"flush" in
+  Fun.protect ~finally:(fun () -> Obs.release r) @@ fun () ->
+  Obs.with_registry r (fun () ->
+      let miss () = get_int (Obs.snapshot ()) [ "counters"; "bdd.unique.miss" ] in
+      let and_miss () =
+        get_int (Obs.snapshot ()) [ "counters"; "bdd.cache.and.miss" ]
+      in
+      let m = Bdd.man 8 in
+      let vs = List.init 8 (fun v -> Bdd.var m v) in
+      Alcotest.(check int) "one node per literal" 8 (miss ());
+      Alcotest.(check int) "live gauge after literals" 8
+        (get_int (Obs.snapshot ()) [ "gauges"; "bdd.nodes.live" ]);
+      let f = Bdd.conj m vs in
+      Alcotest.(check int) "nodes created by conj" (Bdd.gc_stats m).Bdd.live (miss ());
+      Alcotest.(check bool) "and-cache misses visible" true (and_miss () > 0);
+      let before = and_miss () in
+      ignore (Bdd.band m f f);
+      Alcotest.(check int) "a == b takes no probe" before (and_miss ());
+      (* an operation cut short by the node ceiling still reports the
+         probes it made *)
+      let xor_miss () =
+        get_int (Obs.snapshot ()) [ "counters"; "bdd.cache.xor.miss" ]
+      in
+      let small = Bdd.man ~max_nodes:2 2 in
+      let x0 = Bdd.var small 0 and x1 = Bdd.var small 1 in
+      let misses = xor_miss () in
+      (match Bdd.bxor small x0 x1 with
+      | _ -> Alcotest.fail "expected the node ceiling"
+      | exception Bdd.Node_limit _ -> ());
+      Alcotest.(check int) "probes of the failed op flushed" (misses + 1)
+        (xor_miss ()))
+
+(* [bdd.nodes.peak] is a per-registry running maximum: a manager shared
+   by two registries (the daemon's model cache does this) raises each
+   one only to the live counts reached while it was current. *)
+let test_bdd_peak_gauge_per_registry () =
+  let m = Bdd.man 12 in
+  let a = Obs.registry ~label:"job-a" and b = Obs.registry ~label:"job-b" in
+  Fun.protect ~finally:(fun () -> Obs.release a; Obs.release b) @@ fun () ->
+  let peak_of r =
+    Obs.with_registry r (fun () ->
+        get_int (Obs.snapshot ()) [ "gauges"; "bdd.nodes.peak" ])
+  in
+  Obs.with_registry a (fun () ->
+      (* a large unrooted function, then swept *)
+      let big =
+        Bdd.disj m
+          (List.init 6 (fun i -> Bdd.band m (Bdd.var m (2 * i)) (Bdd.var m ((2 * i) + 1))))
+      in
+      ignore (Bdd.bxor m big (Bdd.var m 0));
+      ignore (Bdd.gc m));
+  let peak_a = peak_of a in
+  Alcotest.(check int) "job a saw the manager's peak" (Bdd.gc_stats m).Bdd.peak_live peak_a;
+  Obs.with_registry b (fun () -> ignore (Bdd.band m (Bdd.var m 0) (Bdd.var m 1)));
+  let live = (Bdd.gc_stats m).Bdd.live in
+  Alcotest.(check bool) "the sweep shrank the manager" true (live < peak_a);
+  Alcotest.(check int) "job b's peak is its own window's" live (peak_of b);
+  Alcotest.(check int) "job a's peak untouched" peak_a (peak_of a)
+
 let suite =
   [
     Alcotest.test_case "registry create-on-first-use" `Quick
@@ -291,4 +378,9 @@ let suite =
       test_campaign_progress_invariants;
     Alcotest.test_case "two-domain counter hammer" `Quick test_domain_hammer;
     Alcotest.test_case "budget node probe" `Quick test_budget_node_probe;
+    Alcotest.test_case "bumps allocate nothing" `Quick test_bumps_allocate_nothing;
+    Alcotest.test_case "bdd counters flushed per operation" `Quick
+      test_bdd_counters_flushed_per_operation;
+    Alcotest.test_case "bdd peak gauge per registry" `Quick
+      test_bdd_peak_gauge_per_registry;
   ]

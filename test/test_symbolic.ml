@@ -230,6 +230,21 @@ let test_dlx_frontier_regression () =
   Alcotest.(check bool) "partitioned image = oracle on the DLX model" true
     (check_partitioned_against_oracle t)
 
+(* The §7.2 reachability of the DLX test model (272k BDD nodes, 1.4M
+   words of nodes) used to allocate 27.7M minor words: closures in the
+   table probes, a tuple per cofactor split and an Obs lookup per cache
+   probe. *)
+let test_dlx_reach_allocation () =
+  let c = fst (Simcov_dlx.Control.derive_test_model ()) in
+  let t = of_circuit c in
+  let w0 = Gc.minor_words () in
+  let tr = reachable_stats t in
+  let words = Gc.minor_words () -. w0 in
+  Alcotest.(check int) "peak live nodes" 272312 tr.peak_live_nodes;
+  if words > 10e6 then
+    Alcotest.failf "DLX-test reachability allocated %.0f minor words (bound 10M)"
+      words
+
 let test_traversal_stats () =
   let t = of_circuit (counter_circuit ()) in
   let tr = reachable_stats t in
@@ -262,4 +277,6 @@ let suite =
     Alcotest.test_case "traversal stats" `Quick test_traversal_stats;
     QCheck_alcotest.to_alcotest qcheck_partitioned_fsm;
     QCheck_alcotest.to_alcotest qcheck_partitioned_circuit;
+    Alcotest.test_case "dlx-test reachability allocation" `Quick
+      test_dlx_reach_allocation;
   ]
