@@ -812,9 +812,10 @@ let exp_traversal reorder_json =
 
 (* Same faults, same word, two engines: the scalar one-mutant-per-pass
    reference (Detect.campaign_scalar / Stuckat.run_verdict) against the
-   shared bit-parallel driver that packs up to Sys.int_size mutants
-   into the bit lanes of one simulation pass. The reports must agree
-   exactly; the JSON artifact records the throughput ratio. *)
+   shared bit-parallel driver that packs a batch of mutants into the
+   bit lanes of one simulation pass (FSM faults: Detect.lane_width of
+   the population; stuck-at: 63). The reports must agree exactly; the
+   JSON artifact records the throughput ratio. *)
 let exp_campaign () =
   let module Detect = Simcov_coverage.Detect in
   let module Stuckat = Simcov_coverage.Stuckat in
@@ -899,21 +900,26 @@ let exp_campaign () =
   Tabulate.print
     ~title:
       "E14 — unified campaign engine: bit-parallel lanes vs the scalar reference \
-       (identical verdicts, one golden pass per 63 mutants)"
+       (identical verdicts, one golden pass per batch)"
     t;
   (* the JSON fragment is combined with E15's sweep into one
-     BENCH_coverage.json artifact (schema /2) by [exp_campaign_wide] *)
+     BENCH_coverage.json artifact (schema /3) by [exp_campaign_wide] *)
   let buf = Buffer.create 512 in
   let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  add "  \"fsm_fault\": {\"model\": \"dlx\", \"word_length\": %d, \"faults\": %d,\n"
-    (List.length word) n_fsm;
+  add
+    "  \"fsm_fault\": {\"model\": \"dlx\", \"word_length\": %d, \"faults\": %d, \
+     \"lanes\": %d,\n"
+    (List.length word) n_fsm
+    (Detect.lane_width (List.length fsm_faults));
   add "    \"detected\": %d, \"scalar_s\": %.4f, \"batched_s\": %.4f,\n"
     br.Simcov_campaign.Campaign.detected fsm_scalar_s fsm_batched_s;
   add "    \"faults_per_sec_scalar\": %.1f, \"faults_per_sec_batched\": %.1f,\n"
     (rate n_fsm fsm_scalar_s) (rate n_fsm fsm_batched_s);
   add "    \"speedup\": %.2f},\n" (fsm_scalar_s /. fsm_batched_s);
-  add "  \"stuckat\": {\"model\": \"dlx-test\", \"word_length\": %d, \"faults\": %d,\n"
-    (List.length sa_word) n_sa;
+  add
+    "  \"stuckat\": {\"model\": \"dlx-test\", \"word_length\": %d, \"faults\": %d, \
+     \"lanes\": %d,\n"
+    (List.length sa_word) n_sa Sys.int_size;
   add "    \"detected\": %d, \"scalar_s\": %.4f, \"batched_s\": %.4f,\n"
     sar.Simcov_campaign.Campaign.detected sa_scalar_s sa_batched_s;
   add "    \"faults_per_sec_scalar\": %.1f, \"faults_per_sec_batched\": %.1f,\n"
@@ -922,17 +928,16 @@ let exp_campaign () =
   Buffer.contents buf
 
 (* ------------------------------------------------------------------ *)
-(* E15 — domain-parallel wide campaigns: lanes x jobs sweep            *)
+(* E15 — domain-parallel campaigns at the automatic lane width         *)
 (* ------------------------------------------------------------------ *)
 
-(* The same DLX FSM campaign at growing lane widths and shard counts.
-   Every configuration must reproduce the 63-lane batched report
-   exactly (which the QCheck suite already pins against the scalar
-   reference); the artifact records per-configuration throughput and
-   the speedup over both the scalar engine and the 63-lane batched
-   baseline that PR 4 shipped. Times are best-of-N wall clock — the
-   box this runs on is shared, so the minimum is the honest estimate
-   of the code's own cost. *)
+(* The same DLX FSM campaign at growing shard counts, each at the lane
+   width Detect.lane_width picks for the population. Every
+   configuration must reproduce the scalar reference's report; the
+   artifact records per-configuration throughput and the speedup over
+   the scalar engine and over the unsharded run. Times are best-of-N
+   wall clock — the box this runs on is shared, so the minimum is the
+   honest estimate of the code's own cost. *)
 let exp_campaign_wide e14_fragment =
   let module Detect = Simcov_coverage.Detect in
   let rng = Rng.create (seed + 15) in
@@ -950,23 +955,18 @@ let exp_campaign_wide e14_fragment =
     Simcov_coverage.Fault.sample_transfer_faults rng model ~count:per_kind
     @ Simcov_coverage.Fault.sample_output_faults rng model ~n_outputs ~count:per_kind
   in
+  let lanes = Detect.lane_width (List.length faults) in
   let reps = if quick then 2 else 7 in
   let scalar_o, scalar_once_s =
     time_it (fun () -> Detect.campaign_scalar model faults word)
   in
   let sref = scalar_o.Simcov_campaign.Campaign.report in
-  let configs =
-    if quick then [ (63, 1); (256, 1); (512, 2); (512, 4) ]
-    else
-      List.concat_map
-        (fun lanes -> List.map (fun jobs -> (lanes, jobs)) [ 1; 2; 4 ])
-        [ 63; 256; 512; 1024 ]
-  in
+  let configs = if quick then [ 1; 2 ] else [ 1; 2; 4 ] in
   let workers_of jobs = min jobs (max 1 (Domain.recommended_domain_count ())) in
   (* warm-up pass doubles as the correctness cross-check *)
   List.iter
-    (fun (lanes, jobs) ->
-      let o = Detect.campaign_outcome ~lanes ~jobs model faults word in
+    (fun jobs ->
+      let o = Detect.campaign_outcome ~jobs model faults word in
       let r = o.Simcov_campaign.Campaign.report in
       if
         r.Simcov_campaign.Campaign.detected
@@ -976,43 +976,30 @@ let exp_campaign_wide e14_fragment =
       then
         failwith
           (Printf.sprintf
-             "E15: campaign at lanes=%d jobs=%d disagrees with the scalar \
-              reference"
-             lanes jobs))
+             "E15: campaign at jobs=%d disagrees with the scalar reference" jobs))
     configs;
   (* interleave the repetitions across configurations so load drift on
      a shared box biases every configuration's minimum equally *)
   let mins = Array.make (List.length configs) infinity in
   for _rep = 1 to reps do
     List.iteri
-      (fun i (lanes, jobs) ->
+      (fun i jobs ->
         let s =
-          snd
-            (time_it (fun () ->
-                 Detect.campaign_outcome ~lanes ~jobs model faults word))
+          snd (time_it (fun () -> Detect.campaign_outcome ~jobs model faults word))
         in
         mins.(i) <- min mins.(i) s)
       configs
   done;
-  let measured = List.mapi (fun i (lanes, jobs) -> (lanes, jobs, mins.(i))) configs in
-  let base63_s =
-    match
-      List.find_opt (fun (lanes, jobs, _) -> lanes = Sys.int_size && jobs = 1) measured
-    with
-    | Some (_, _, t) -> t
-    | None -> (
-        match measured with
-        | (_, _, t) :: _ -> t
-        | [] -> failwith "E15: empty sweep")
-  in
+  let measured = List.mapi (fun i jobs -> (jobs, mins.(i))) configs in
+  let jobs1_s = mins.(0) in
   let n = sref.Simcov_campaign.Campaign.effective in
   let rate s = if s > 0.0 then float_of_int n /. s else infinity in
   let t =
     Tabulate.create
-      [ "lanes"; "jobs"; "workers"; "time"; "faults/s"; "vs scalar"; "vs 63-lane" ]
+      [ "lanes"; "jobs"; "workers"; "time"; "faults/s"; "vs scalar"; "vs jobs 1" ]
   in
   List.iter
-    (fun (lanes, jobs, s) ->
+    (fun (jobs, s) ->
       Tabulate.add_row t
         [
           string_of_int lanes;
@@ -1021,37 +1008,37 @@ let exp_campaign_wide e14_fragment =
           Printf.sprintf "%.4fs" s;
           Printf.sprintf "%.0f" (rate s);
           Printf.sprintf "%.1fx" (scalar_once_s /. s);
-          Printf.sprintf "%.2fx" (base63_s /. s);
+          Printf.sprintf "%.2fx" (jobs1_s /. s);
         ])
     measured;
   Tabulate.print
     ~title:
       (Printf.sprintf
-         "E15 — domain-parallel wide campaigns (%d DLX FSM faults, identical \
-          reports at every configuration)"
+         "E15 — domain-parallel campaigns at the automatic lane width (%d DLX \
+          FSM faults, identical reports at every configuration)"
          n)
     t;
   if json then begin
     let buf = Buffer.create 1024 in
     let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
     add "{\n";
-    add "  \"schema\": \"simcov-bench-coverage/2\",\n";
-    add "  \"lanes\": %d,\n" Sys.int_size;
+    add "  \"schema\": \"simcov-bench-coverage/3\",\n";
     add "%s,\n" e14_fragment;
-    add "  \"wide_campaign\": {\"model\": \"dlx\", \"word_length\": %d, \"faults\": %d,\n"
-      (List.length word) n;
-    add "    \"detected\": %d, \"scalar_s\": %.4f, \"batched63_s\": %.4f,\n"
-      sref.Simcov_campaign.Campaign.detected scalar_once_s base63_s;
+    add
+      "  \"wide_campaign\": {\"model\": \"dlx\", \"word_length\": %d, \"faults\": %d, \
+       \"lanes\": %d,\n"
+      (List.length word) n lanes;
+    add "    \"detected\": %d, \"scalar_s\": %.4f,\n"
+      sref.Simcov_campaign.Campaign.detected scalar_once_s;
     add "    \"configs\": [\n";
     let last = List.length measured - 1 in
     List.iteri
-      (fun i (lanes, jobs, s) ->
+      (fun i (jobs, s) ->
         add
-          "      {\"lanes\": %d, \"jobs\": %d, \"workers\": %d, \"time_s\": \
-           %.4f, \"faults_per_sec\": %.1f, \"speedup_vs_scalar\": %.2f, \
-           \"speedup_vs_batched63\": %.2f}%s\n"
-          lanes jobs (workers_of jobs) s (rate s) (scalar_once_s /. s)
-          (base63_s /. s)
+          "      {\"jobs\": %d, \"workers\": %d, \"time_s\": %.4f, \
+           \"faults_per_sec\": %.1f, \"speedup_vs_scalar\": %.2f, \
+           \"speedup_vs_jobs1\": %.2f}%s\n"
+          jobs (workers_of jobs) s (rate s) (scalar_once_s /. s) (jobs1_s /. s)
           (if i = last then "" else ","))
       measured;
     add "    ]}\n";

@@ -246,7 +246,7 @@ let config_term =
 let seed_term =
   Arg.(value & opt int 2026 & info [ "seed" ] ~docv:"SEED" ~doc:"Random seed.")
 
-(* ---- campaign parallelism (--jobs / --lanes) ---- *)
+(* ---- campaign parallelism (--jobs) ---- *)
 
 let bounded_int ~name lo hi =
   let parse s =
@@ -258,29 +258,15 @@ let bounded_int ~name lo hi =
   in
   Arg.conv (parse, Format.pp_print_int)
 
-let parallel_term =
-  let jobs =
-    Arg.(
-      value
-      & opt (bounded_int ~name:"--jobs" 1 256) 1
-      & info [ "jobs"; "j" ] ~docv:"N"
-          ~doc:
-            "Shard the campaign's faults across $(docv) domains. The merged \
-             report is bit-identical to the sequential run (deterministic \
-             shard order; budgets are carved into per-shard sub-budgets).")
-  in
-  let lanes =
-    Arg.(
-      value
-      & opt (bounded_int ~name:"--lanes" 1 65536) Sys.int_size
-      & info [ "lanes" ] ~docv:"N"
-          ~doc:
-            "Mutant lanes per simulation pass. Up to 63 (the default) runs \
-             the native-int bit-parallel backend; wider values (256, 512, \
-             1024, ...) run the bit-sliced wide backend, evaluating $(docv) \
-             mutants per golden pass.")
-  in
-  Term.(const (fun jobs lanes -> (jobs, lanes)) $ jobs $ lanes)
+let jobs_term =
+  Arg.(
+    value
+    & opt (bounded_int ~name:"--jobs" 1 256) 1
+    & info [ "jobs"; "j" ] ~docv:"N"
+        ~doc:
+          "Shard the campaign's faults across $(docv) domains. The merged \
+           report is bit-identical to the sequential run (deterministic \
+           shard order; budgets are carved into per-shard sub-budgets).")
 
 (* ---- BDD variable reordering (--reorder) ---- *)
 
@@ -307,14 +293,13 @@ let reorder_term =
 
 (* ---- validate-dlx ---- *)
 
-let validate_dlx config seed (jobs, lanes) reorder common =
+let validate_dlx config seed jobs reorder common =
   let p =
     {
       Job.va_regs = config.Simcov_dlx.Testmodel.n_regs;
       va_track_dest = config.Simcov_dlx.Testmodel.track_dest;
       va_observable_dest = config.Simcov_dlx.Testmodel.observable_dest;
       va_seed = seed;
-      va_lanes = lanes;
       va_jobs = jobs;
       va_reorder = reorder;
     }
@@ -328,7 +313,7 @@ let validate_cmd =
   Cmd.v
     (cmd_info "validate-dlx" ~doc)
     Term.(
-      const validate_dlx $ config_term $ seed_term $ parallel_term
+      const validate_dlx $ config_term $ seed_term $ jobs_term
       $ reorder_term $ common_term)
 
 (* ---- tour ---- *)
@@ -758,7 +743,7 @@ let persist_term =
     const (fun checkpoint every resume chaos -> (checkpoint, every, resume, chaos))
     $ checkpoint $ every $ resume $ chaos)
 
-let coverage_run model kind seed count steps fail_under progress (jobs, lanes)
+let coverage_run model kind seed count steps fail_under progress jobs
     reorder (checkpoint, checkpoint_every, resume, chaos_kill_after) common =
   warn_inert_max_nodes common;
   let p =
@@ -769,7 +754,6 @@ let coverage_run model kind seed count steps fail_under progress (jobs, lanes)
       cov_count = count;
       cov_steps = steps;
       cov_fail_under = fail_under;
-      cov_lanes = lanes;
       cov_jobs = jobs;
       cov_checkpoint = checkpoint;
       cov_checkpoint_every = checkpoint_every;
@@ -843,7 +827,7 @@ let coverage_cmd =
     (cmd_info "coverage" ~doc)
     Term.(
       const coverage_run $ model $ kind $ seed_term $ count $ steps $ fail_under
-      $ progress $ parallel_term $ reorder_term $ persist_term $ common_term)
+      $ progress $ jobs_term $ reorder_term $ persist_term $ common_term)
 
 (* ---- merge / minimize: offline aggregation of coverage snapshots ---- *)
 

@@ -25,24 +25,8 @@ type verdict = {
 }
 
 type 'l lane_event = { excited : 'l; detected : 'l; halt : bool }
-type event = int lane_event
 
 module type BACKEND = sig
-  type ctx
-  type fault
-  type stim
-
-  val name : string
-  val max_lanes : int
-  val effective : ctx -> fault -> bool
-
-  type batch
-
-  val start : ctx -> fault array -> batch
-  val step : batch -> active:int -> stim -> event
-end
-
-module type BACKEND_W = sig
   module L : Lanes.S
 
   type ctx
@@ -180,7 +164,7 @@ let spend budget =
   | Some _ as r -> r
   | None -> ( try Budget.step budget; None with Budget.Budget_exceeded r -> Some r)
 
-module Make_wide (B : BACKEND_W) = struct
+module Make (B : BACKEND) = struct
   module L = B.L
 
   exception Stop_batch
@@ -615,13 +599,4 @@ module Make_wide (B : BACKEND_W) = struct
       Array.iter (Budget.reclaim budget) sub_budgets;
       assemble results
     end
-end
-
-module Make (B : BACKEND) = struct
-  module W = Make_wide (struct
-    module L = Lanes.Native
-    include B
-  end)
-
-  let run = W.run
 end

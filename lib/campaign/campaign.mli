@@ -12,12 +12,12 @@
     and what one lockstep step observes) and {!Make} provides the single
     campaign driver, which is
 
-    - {e bit-parallel}: mutants are packed into the lanes of a
-      {!Simcov_util.Lanes} set — a native OCaml [int] (63 lanes, the
-      default) or a bit-sliced wide set (256/512/1024 lanes via
-      {!BACKEND_W} / {!Make_wide}) — so one golden pass over the word
-      evaluates a whole batch: the classic parallel-pattern
-      fault-simulation trick, freed of the word-size cap;
+    - {e bit-parallel}: mutants are packed into the lanes of the
+      backend's {!Simcov_util.Lanes} representation — a native OCaml
+      [int] (63 lanes) or a bit-sliced wide set of any width — so one
+      golden pass over the word evaluates a whole batch: the classic
+      parallel-pattern fault-simulation trick, freed of the word-size
+      cap;
     - {e domain-parallel}: [run ~jobs:n] splits the effective-fault
       array into [n] contiguous shards, runs them on [Domain.spawn]
       workers with sub-budgets carved by {!Simcov_util.Budget.split},
@@ -69,17 +69,16 @@ type 'l lane_event = {
           are folded in *)
 }
 
-type event = int lane_event
-(** The native-[int] lane-set event of {!BACKEND} backends. *)
-
 (** {1 Backends} *)
 
 (** One fault domain: a golden model type, a fault type, a stimulus
-    type, and a batched lockstep simulator — over native-[int] lane
-    sets. This is the zero-overhead default; {!BACKEND_W} is the same
-    contract over an arbitrary lane representation. *)
+    type, and a batched lockstep simulator over the lane
+    representation [L]. One batch carries up to [min max_lanes L.width]
+    mutants. *)
 module type BACKEND = sig
-  type ctx  (** the golden model, possibly pre-tabulated *)
+  module L : Lanes.S
+
+  type ctx  (** the golden model, possibly pre-tabulated or compiled *)
 
   type fault
   type stim  (** one element of the stimulus word *)
@@ -89,7 +88,7 @@ module type BACKEND = sig
 
   val max_lanes : int
   (** Upper bound on lanes per batch; the driver uses
-      [min max_lanes Sys.int_size]. A scalar backend declares [1]. *)
+      [min max_lanes L.width]. A scalar backend declares [1]. *)
 
   val effective : ctx -> fault -> bool
   (** Faults that actually change behavior locally; ineffective faults
@@ -101,34 +100,13 @@ module type BACKEND = sig
 
   val start : ctx -> fault array -> batch
   (** Begin a batch at reset. The array has at most
-      [min max_lanes Sys.int_size] entries, all effective. *)
+      [min max_lanes L.width] entries, all effective. *)
 
-  val step : batch -> active:int -> stim -> event
+  val step : batch -> active:L.t -> stim -> L.t lane_event
   (** Advance the batch by one stimulus element. [active] is the lane
       set still undetected; lanes outside it need not be simulated
       precisely (the driver masks the returned lane sets with
       [active]). *)
-end
-
-(** The same backend contract over an explicit lane representation
-    [L] : one batch carries up to [min max_lanes L.width] mutants.
-    Instantiate [L] with {!Simcov_util.Lanes.Wide} for 256/512/1024
-    lanes per golden pass. *)
-module type BACKEND_W = sig
-  module L : Lanes.S
-
-  type ctx
-  type fault
-  type stim
-
-  val name : string
-  val max_lanes : int
-  val effective : ctx -> fault -> bool
-
-  type batch
-
-  val start : ctx -> fault array -> batch
-  val step : batch -> active:L.t -> stim -> L.t lane_event
 end
 
 (** {1 Reports} *)
@@ -231,9 +209,9 @@ val shard_ranges : n:int -> jobs:int -> (int * int) array
     [n mod jobs] shards get one extra element). Exposed so tests can
     state the merge contract exactly. *)
 
-(** {1 The drivers} *)
+(** {1 The driver} *)
 
-module Make_wide (B : BACKEND_W) : sig
+module Make (B : BACKEND) : sig
   val run :
     ?budget:Budget.t ->
     ?jobs:int ->
@@ -294,24 +272,4 @@ module Make_wide (B : BACKEND_W) : sig
         and a shard failing every attempt becomes a {!shard_failure}
         entry, its faults counted in [skipped]. Sequential runs
         ([jobs = 1]) propagate the exception instead. *)
-end
-
-module Make (B : BACKEND) : sig
-  val run :
-    ?budget:Budget.t ->
-    ?jobs:int ->
-    ?max_workers:int ->
-    ?on_batch:(progress -> unit) ->
-    ?resume:(B.fault -> verdict option) ->
-    ?checkpoint:B.fault checkpoint ->
-    ?should_stop:(unit -> bool) ->
-    ?shard_retries:int ->
-    ?retry_backoff_s:float ->
-    B.ctx ->
-    B.fault list ->
-    B.stim list ->
-    B.fault outcome
-  (** {!Make_wide} specialized to native-[int] lane sets
-      ({!Lanes.Native}): the zero-overhead 63-lane path, and the
-      oracle the wide path is tested against. *)
 end

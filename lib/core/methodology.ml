@@ -115,7 +115,7 @@ let lint_gate ~budget =
   @ errors (Lint.run ~budget ~name:"dlx-test" ~against:impl test)
 
 let validate_dlx ?(config = Testmodel.default) ?(seed = 2026)
-    ?(budget = Budget.unlimited) ?(reorder = `Off) ?lanes ?jobs () =
+    ?(budget = Budget.unlimited) ?(reorder = `Off) ?jobs () =
   let open Simcov_fsm in
   let rng = Simcov_util.Rng.create seed in
   (* per-figure wall clock: each phase is both recorded in the report
@@ -189,7 +189,7 @@ let validate_dlx ?(config = Testmodel.default) ?(seed = 2026)
           Simcov_coverage.Fault.sample_transfer_faults rng model ~count:150
           @ Simcov_coverage.Fault.sample_output_faults rng model ~n_outputs ~count:150
         in
-        Simcov_coverage.Detect.campaign ~budget ?lanes ?jobs model faults word)
+        Simcov_coverage.Detect.campaign ~budget ?jobs model faults word)
   in
   {
     config;

@@ -69,7 +69,6 @@ val validate_dlx :
   ?seed:int ->
   ?budget:Budget.t ->
   ?reorder:Simcov_symbolic.Symfsm.reorder_mode ->
-  ?lanes:int ->
   ?jobs:int ->
   unit ->
   run_report
@@ -96,10 +95,8 @@ val validate_dlx :
     budget mid-campaign yields [truncated]-tagged partial campaign
     reports (see {!campaigns_truncated}), never an exception.
 
-    [lanes] and [jobs] tune the campaign legs: [lanes] selects the
-    lane width of the FSM fault campaign (wide bit-sliced lanes beyond
-    [Sys.int_size]) and [jobs] shards both campaigns across that many
-    domains — results are bit-identical to the sequential run. *)
+    [jobs] shards both campaign legs across that many domains —
+    results are bit-identical to the sequential run. *)
 
 val pp_run_report : Format.formatter -> run_report -> unit
 

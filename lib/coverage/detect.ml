@@ -65,155 +65,26 @@ type report = Fault.t campaign_report
 
 let backend_name = "fsm-fault"
 
-(* The bit-parallel FSM-fault backend. One golden pass per stimulus
-   word evaluates up to [Sys.int_size] mutants at once, one per int bit
-   lane. Mutant trajectories are tracked by difference from the golden
-   trajectory:
+type ctx = { m : Fsm.t; tab : Fsm.tables }
+
+(* The bit-parallel FSM-fault backend over any lane representation: one
+   golden pass per stimulus word evaluates a whole batch of mutants,
+   one per lane. Mutant trajectories are tracked by difference from the
+   golden trajectory:
 
    - output and conditional-output lanes never leave the golden
      trajectory, so they need no per-lane state at all — they detect
      the moment the golden run traverses their site (with the required
      history, for conditional lanes);
    - a transfer lane is "diverged" once its mutant's state differs from
-     the golden state; only diverged lanes pay for a per-lane scalar
-     step, and they rejoin the cheap converged set on silent
-     re-convergence (Definition 4's masking window closing). *)
-module Fsm_backend = struct
-  type ctx = { m : Fsm.t; tab : Fsm.tables }
-  type fault = Fault.t
-  type stim = int
-
-  let name = backend_name
-  let max_lanes = Sys.int_size
-  let effective ctx f = Fault.is_effective ctx.m f
-
-  type batch = {
-    tab : Fsm.tables;
-    site : int array;  (* lane -> faulted (state * k + input) *)
-    wrong : int array;  (* lane -> wrong next state / wrong output *)
-    cprev : int array;  (* conditional lanes: required previous transition *)
-    site_lanes : (int, int) Hashtbl.t;  (* transition -> lane set faulted there *)
-    out_mask : int;
-    tr_mask : int;
-    cond_mask : int;
-    mstate : int array;  (* per-lane mutant state, meaningful when diverged *)
-    mutable diverged : int;
-    mutable sg : int;  (* golden state *)
-    mutable gprev : int;  (* previous golden transition, -1 at reset *)
-  }
-
-  let start (ctx : ctx) faults =
-    let tab = ctx.tab in
-    let k = tab.Fsm.tab_inputs in
-    let n = Array.length faults in
-    let site = Array.make n 0 and wrong = Array.make n 0 in
-    let cprev = Array.make n (-1) in
-    let site_lanes = Hashtbl.create (2 * n) in
-    let out_mask = ref 0 and tr_mask = ref 0 and cond_mask = ref 0 in
-    Array.iteri
-      (fun l f ->
-        let s, i = Fault.site f in
-        let idx = (s * k) + i in
-        site.(l) <- idx;
-        (match Hashtbl.find_opt site_lanes idx with
-        | Some m -> Hashtbl.replace site_lanes idx (m lor (1 lsl l))
-        | None -> Hashtbl.add site_lanes idx (1 lsl l));
-        match f with
-        | Fault.Transfer { wrong_next; _ } ->
-            wrong.(l) <- wrong_next;
-            tr_mask := !tr_mask lor (1 lsl l)
-        | Fault.Output { wrong_output; _ } ->
-            wrong.(l) <- wrong_output;
-            out_mask := !out_mask lor (1 lsl l)
-        | Fault.Conditional_output { wrong_output; prev = ps, pi; _ } ->
-            wrong.(l) <- wrong_output;
-            cprev.(l) <- (ps * k) + pi;
-            cond_mask := !cond_mask lor (1 lsl l))
-      faults;
-    {
-      tab;
-      site;
-      wrong;
-      cprev;
-      site_lanes;
-      out_mask = !out_mask;
-      tr_mask = !tr_mask;
-      cond_mask = !cond_mask;
-      mstate = Array.make n 0;
-      diverged = 0;
-      sg = tab.Fsm.tab_reset;
-      gprev = -1;
-    }
-
-  let step b ~active i =
-    let k = b.tab.Fsm.tab_inputs in
-    (* out-of-alphabet stimuli are invalid in every state, golden and
-       mutant alike: halt with no verdicts, exactly like the scalar
-       reference. Indexing the flat tables with such an [i] would
-       alias into the next state's row instead. *)
-    if i < 0 || i >= k then { Campaign.excited = 0; detected = 0; halt = true }
-    else
-    let gi = (b.sg * k) + i in
-    let vg = b.tab.Fsm.tab_valid.(gi) in
-    let detected = ref 0 in
-    (* snapshot: lanes diverged at the START of this step — the redirect
-       below must only apply to lanes whose mutant sits on the golden
-       state, and re-convergence inside the loop must not re-qualify a
-       lane for it *)
-    let dv = b.diverged land active in
-    if not vg then begin
-      (* golden rejects the stimulus: diverged mutants that accept it
-         are exposed by the validity mismatch; everyone else stops *)
-      Campaign.iter_bits dv (fun l ->
-          if b.tab.Fsm.tab_valid.((b.mstate.(l) * k) + i) then
-            detected := !detected lor (1 lsl l));
-      { Campaign.excited = 0; detected = !detected; halt = true }
-    end
-    else begin
-      let sg' = b.tab.Fsm.tab_next.(gi) and og = b.tab.Fsm.tab_output.(gi) in
-      (* lanes already diverged run their own scalar lockstep step *)
-      Campaign.iter_bits dv (fun l ->
-          let mi = (b.mstate.(l) * k) + i in
-          if not b.tab.Fsm.tab_valid.(mi) then detected := !detected lor (1 lsl l)
-          else if b.tab.Fsm.tab_output.(mi) <> og then
-            detected := !detected lor (1 lsl l)
-          else begin
-            let ms' =
-              if mi = b.site.(l) then b.wrong.(l) else b.tab.Fsm.tab_next.(mi)
-            in
-            if ms' = sg' then b.diverged <- b.diverged land lnot (1 lsl l);
-            b.mstate.(l) <- ms'
-          end);
-      (* site events on the golden transition *)
-      let excited =
-        match Hashtbl.find_opt b.site_lanes gi with None -> 0 | Some m -> m
-      in
-      if excited <> 0 then begin
-        (* effectiveness guarantees wrong_output <> og … *)
-        detected := !detected lor (excited land b.out_mask);
-        Campaign.iter_bits (excited land b.cond_mask) (fun l ->
-            if b.cprev.(l) = b.gprev then detected := !detected lor (1 lsl l));
-        (* … and wrong_next <> sg', so converged transfer lanes branch
-           off the golden trajectory here *)
-        Campaign.iter_bits
-          (excited land b.tr_mask land lnot dv land active)
-          (fun l ->
-            b.mstate.(l) <- b.wrong.(l);
-            if b.wrong.(l) <> sg' then begin
-              b.diverged <- b.diverged lor (1 lsl l);
-              Obs.incr c_lanes_diverged
-            end);
-      end;
-      b.gprev <- gi;
-      b.sg <- sg';
-      { Campaign.excited; detected = !detected; halt = false }
-    end
-end
-
-module Fsm_backend_w (L : Simcov_util.Lanes.S) = struct
+     the golden state. Diverged lanes are grouped by mutant state, so
+     one table transition per occupied state moves, detects or
+     re-converges a whole group, and lanes rejoin the converged set on
+     silent re-convergence (Definition 4's masking window closing). *)
+module Fsm_backend (L : Simcov_util.Lanes.S) = struct
   module L = L
 
-  type ctx = Fsm_backend.ctx = { m : Fsm.t; tab : Fsm.tables }
+  type nonrec ctx = ctx
   type fault = Fault.t
   type stim = int
 
@@ -343,6 +214,10 @@ module Fsm_backend_w (L : Simcov_util.Lanes.S) = struct
 
   let step b ~active i =
     let k = b.k in
+    (* out-of-alphabet stimuli are invalid in every state, golden and
+       mutant alike: halt with no verdicts, exactly like the scalar
+       reference. Indexing the flat tables with such an [i] would
+       alias into the next state's row instead. *)
     if i < 0 || i >= k then
       { Campaign.excited = L.zero; detected = L.zero; halt = true }
     else
@@ -467,24 +342,21 @@ module Fsm_backend_w (L : Simcov_util.Lanes.S) = struct
       end
 end
 
-module Driver = Campaign.Make (Fsm_backend)
+(* 1024 lanes was the fastest width of the E15 sweep (4096 DLX faults);
+   a smaller population gets exactly one batch *)
+let max_lanes = 1024
+let lane_width n = max 1 (min max_lanes n)
 
-let campaign_outcome ?budget ?lanes ?jobs ?max_workers ?on_batch ?resume
-    ?checkpoint ?should_stop ?shard_retries ?retry_backoff_s golden faults word =
-  let ctx = { Fsm_backend.m = golden; tab = Fsm.tables golden } in
-  match lanes with
-  | Some w when w > Sys.int_size ->
-      let module L = (val Simcov_util.Lanes.make w) in
-      let module D = Campaign.Make_wide (Fsm_backend_w (L)) in
-      D.run ?budget ?jobs ?max_workers ?on_batch ?resume ?checkpoint
-        ?should_stop ?shard_retries ?retry_backoff_s ctx faults word
-  | _ ->
-      Driver.run ?budget ?jobs ?max_workers ?on_batch ?resume ?checkpoint
-        ?should_stop ?shard_retries ?retry_backoff_s ctx faults word
+let campaign_outcome ?budget ?jobs ?max_workers ?on_batch ?resume ?checkpoint
+    ?should_stop ?shard_retries ?retry_backoff_s golden faults word =
+  let ctx = { m = golden; tab = Fsm.tables golden } in
+  let module L = (val Simcov_util.Lanes.make (lane_width (List.length faults))) in
+  let module D = Campaign.Make (Fsm_backend (L)) in
+  D.run ?budget ?jobs ?max_workers ?on_batch ?resume ?checkpoint ?should_stop
+    ?shard_retries ?retry_backoff_s ctx faults word
 
-let campaign ?budget ?lanes ?jobs ?on_batch golden faults word =
-  (campaign_outcome ?budget ?lanes ?jobs ?on_batch golden faults word)
-    .Campaign.report
+let campaign ?budget ?jobs ?on_batch golden faults word =
+  (campaign_outcome ?budget ?jobs ?on_batch golden faults word).Campaign.report
 
 (* the retained scalar reference: one full mutant rerun per fault,
    through [run_verdict]; the QCheck suite pins the batched driver

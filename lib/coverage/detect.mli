@@ -7,9 +7,10 @@
     Section 4.2 illustrates with Figure 2.
 
     Campaigns route through the shared {!Simcov_campaign.Campaign}
-    driver: mutants are packed into int bit lanes and evaluated with
-    one golden pass per word instead of one full rerun per fault. The
-    scalar path ({!run_verdict}, {!campaign_scalar}) is retained as the
+    driver: mutants are packed into bit lanes and evaluated with one
+    golden pass per word instead of one full rerun per fault. The lane
+    width is not a knob: {!lane_width} derives it from the fault count.
+    The scalar path ({!run_verdict}, {!campaign_scalar}) is retained as the
     executable reference the batched engine is tested against. *)
 
 open Simcov_fsm
@@ -53,9 +54,20 @@ type 'f campaign_report = 'f Campaign.report = {
 
 type report = Fault.t campaign_report
 
+val max_lanes : int
+(** The widest batch, 1024 lanes: the fastest width measured on DLX
+    fault populations (EXPERIMENTS.md, E15). *)
+
+val lane_width : int -> int
+(** [lane_width n] is the lane count a campaign over [n] faults asks
+    {!Simcov_util.Lanes.make} for: [n] clamped to [1 .. max_lanes].
+    Up to [Sys.int_size] faults that is the native-[int]
+    representation (63 lanes); up to [max_lanes] faults the whole
+    population is one batch; beyond it, batches are [max_lanes]
+    wide. *)
+
 val campaign :
   ?budget:Simcov_util.Budget.t ->
-  ?lanes:int ->
   ?jobs:int ->
   ?on_batch:(Campaign.progress -> unit) ->
   Fsm.t ->
@@ -64,17 +76,12 @@ val campaign :
   report
 (** Bit-parallel batched campaign via the shared driver. Budget
     exhaustion yields a [truncated] partial report, never an
-    exception.
-
-    [lanes] selects the lane representation: up to [Sys.int_size]
-    (the default) runs the native-int backend; wider values run the
-    bit-sliced backend with that many mutants per golden pass.
-    [jobs > 1] shards the effective faults across that many domains
+    exception. Batches are {!lane_width} [(List.length faults)] lanes
+    wide; [jobs > 1] shards the effective faults across that many domains
     (see {!Simcov_campaign.Campaign}'s determinism contract). *)
 
 val campaign_outcome :
   ?budget:Simcov_util.Budget.t ->
-  ?lanes:int ->
   ?jobs:int ->
   ?max_workers:int ->
   ?on_batch:(Campaign.progress -> unit) ->

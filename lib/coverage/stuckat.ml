@@ -85,7 +85,7 @@ let run_verdict (c : Circuit.t) fault word =
 
 let detects c fault word = (run_verdict c fault word).Campaign.detected
 
-(* The bit-parallel stuck-at backends run the circuit compiled to a
+(* The bit-parallel stuck-at backend runs the circuit compiled to a
    {!Netprog} gate program, so each step evaluates every distinct gate
    once per pass instead of re-walking the expression trees. Slot [k]
    of the faulty scratch array holds gate [k]'s value in every faulty
@@ -97,6 +97,8 @@ let detects c fault word = (run_verdict c fault word).Campaign.detected
    prefix of both, then the rest of both when the golden circuit
    accepts the vector. *)
 module Net_backend = struct
+  module L = Simcov_util.Lanes.Native
+
   type ctx = Netprog.t
   type nonrec fault = fault
   type stim = bool array
@@ -191,122 +193,16 @@ module Net_backend = struct
       { Campaign.excited = 0; detected = cm; halt = true }
 end
 
-(* The same backend over an arbitrary lane representation: faulty lane
-   values are [L.t] bit-slices evaluated by {!Netprog.Wide}, the golden
-   pass stays on native ints. A step costs one pass over the distinct
-   gates per lane word, so a wider batch judges more faults per golden
-   pass at a per-gate cost that grows with the width. *)
-module Net_backend_w (L : Simcov_util.Lanes.S) = struct
-  module L = L
-  module E = Netprog.Wide (L)
-
-  type ctx = Netprog.t
-  type nonrec fault = fault
-  type stim = bool array
-
-  let name = "stuck-at"
-  let max_lanes = L.width
-  let effective _ _ = true
-
-  type batch = {
-    p : Netprog.t;
-    full : L.t;
-    v : L.t array;
-    g : int array;
-    lanes : L.t array;
-    good : bool array;
-    pmr : L.t array;
-    p1r : L.t array;
-    pmi : L.t array;
-    p1i : L.t array;
-  }
-
-  let start p (faults : fault array) =
-    let nr = Netprog.n_regs p and ni = Netprog.n_inputs p in
-    let full = L.ones (Array.length faults) in
-    let pmr = Array.make nr L.zero and p1r = Array.make nr L.zero in
-    let pmi = Array.make ni L.zero and p1i = Array.make ni L.zero in
-    Array.iteri
-      (fun l f ->
-        match f.site with
-        | Reg_output r ->
-            pmr.(r) <- L.add pmr.(r) l;
-            if f.stuck then p1r.(r) <- L.add p1r.(r) l
-        | Primary_input i ->
-            pmi.(i) <- L.add pmi.(i) l;
-            if f.stuck then p1i.(i) <- L.add p1i.(i) l)
-      faults;
-    let good = Netprog.initial_state p in
-    let lanes = Array.map (fun b -> if b then full else L.zero) good in
-    let v = Array.make (Netprog.slots p) L.zero and g = Array.make (Netprog.slots p) 0 in
-    { p; full; v; g; lanes; good; pmr; p1r; pmi; p1i }
-
-  let step b ~active:_ iv =
-    let p = b.p and v = b.v and g = b.g in
-    for i = 0 to Netprog.n_inputs p - 1 do
-      g.(i) <- (if iv.(i) then -1 else 0);
-      v.(i) <- L.union (L.diff (if iv.(i) then b.full else L.zero) b.pmi.(i)) b.p1i.(i)
-    done;
-    Array.iteri
-      (fun r lr ->
-        let k = Netprog.reg_slot p r in
-        g.(k) <- (if b.good.(r) then -1 else 0);
-        v.(k) <- L.union (L.diff lr b.pmr.(r)) b.p1r.(r))
-      b.lanes;
-    E.eval_constraint p v;
-    Netprog.eval_constraint p g;
-    let cm = L.inter v.(Netprog.constraint_slot p) b.full in
-    if g.(Netprog.constraint_slot p) <> 0 then begin
-      let excited = ref L.zero in
-      Array.iteri
-        (fun r gb ->
-          excited :=
-            L.union !excited
-              (if gb then L.diff b.pmr.(r) b.p1r.(r) else b.p1r.(r)))
-        b.good;
-      Array.iteri
-        (fun i bit ->
-          excited :=
-            L.union !excited
-              (if bit then L.diff b.pmi.(i) b.p1i.(i) else b.p1i.(i)))
-        iv;
-      E.eval_rest p v;
-      Netprog.eval_rest p g;
-      let detected = ref (L.diff b.full cm) in
-      for o = 0 to Netprog.n_outputs p - 1 do
-        let k = Netprog.output_slot p o in
-        let gk = if g.(k) <> 0 then b.full else L.zero in
-        detected := L.union !detected (L.inter (L.xor v.(k) gk) cm)
-      done;
-      for r = 0 to Netprog.n_regs p - 1 do
-        let k = Netprog.next_slot p r in
-        b.lanes.(r) <- L.inter v.(k) b.full;
-        b.good.(r) <- g.(k) <> 0
-      done;
-      { Campaign.excited = !excited; detected = !detected; halt = false }
-    end
-    else { Campaign.excited = L.zero; detected = cm; halt = true }
-end
-
 module Driver = Campaign.Make (Net_backend)
 
-let campaign_outcome ?budget ?lanes ?jobs ?max_workers ?on_batch ?resume
-    ?checkpoint ?should_stop ?shard_retries ?retry_backoff_s c faults word =
+let campaign_outcome ?budget ?jobs ?max_workers ?on_batch ?resume ?checkpoint
+    ?should_stop ?shard_retries ?retry_backoff_s c faults word =
   (* one compile per campaign; every batch and shard shares it *)
-  let c = Netprog.compile c in
-  match lanes with
-  | Some w when w > Sys.int_size ->
-      let module L = (val Simcov_util.Lanes.make w) in
-      let module D = Campaign.Make_wide (Net_backend_w (L)) in
-      D.run ?budget ?jobs ?max_workers ?on_batch ?resume ?checkpoint
-        ?should_stop ?shard_retries ?retry_backoff_s c faults word
-  | _ ->
-      Driver.run ?budget ?jobs ?max_workers ?on_batch ?resume ?checkpoint
-        ?should_stop ?shard_retries ?retry_backoff_s c faults word
+  Driver.run ?budget ?jobs ?max_workers ?on_batch ?resume ?checkpoint
+    ?should_stop ?shard_retries ?retry_backoff_s (Netprog.compile c) faults word
 
-let campaign ?budget ?lanes ?jobs ?on_batch c faults word =
-  (campaign_outcome ?budget ?lanes ?jobs ?on_batch c faults word)
-    .Campaign.report
+let campaign ?budget ?jobs ?on_batch c faults word =
+  (campaign_outcome ?budget ?jobs ?on_batch c faults word).Campaign.report
 
 type 'f campaign_report = 'f Campaign.report = {
   backend : string;

@@ -20,7 +20,10 @@
     driver with true bit-parallel lanes: the circuit is compiled once
     per campaign to a {!Netprog} gate program, bit [l] of every slot is
     a net value in faulty circuit [l], and one pass over the distinct
-    gates evaluates all lanes at once. *)
+    gates evaluates all lanes at once. Batches are 63 lanes wide (one
+    native [int] per slot): a bit-sliced wide representation was
+    measured slower on every netlist in the repository (DESIGN.md
+    §8). *)
 
 open Simcov_netlist
 module Campaign = Simcov_campaign.Campaign
@@ -67,7 +70,6 @@ type report = fault campaign_report
 
 val campaign :
   ?budget:Simcov_util.Budget.t ->
-  ?lanes:int ->
   ?jobs:int ->
   ?on_batch:(Campaign.progress -> unit) ->
   Circuit.t ->
@@ -75,13 +77,11 @@ val campaign :
   bool array list ->
   report
 (** Bit-parallel batched campaign via the shared driver; budget
-    exhaustion yields a [truncated] partial report. [lanes] beyond
-    [Sys.int_size] selects the bit-sliced wide backend; [jobs > 1]
+    exhaustion yields a [truncated] partial report; [jobs > 1]
     shards faults across domains (see {!Simcov_campaign.Campaign}). *)
 
 val campaign_outcome :
   ?budget:Simcov_util.Budget.t ->
-  ?lanes:int ->
   ?jobs:int ->
   ?max_workers:int ->
   ?on_batch:(Campaign.progress -> unit) ->

@@ -57,6 +57,8 @@ let test_program ?(preload_regs = []) ?(preload_mem = []) program =
    old [List.exists]), and the unified report. Excitation has no finer
    probe than detection here: a mismatching commit stream is both. *)
 module Bug_backend = struct
+  module L = Simcov_util.Lanes.Native
+
   type ctx = unit
   type fault = string * Pipeline.bugs
   type stim = test_program

@@ -124,31 +124,6 @@ let run p v lo hi =
 let eval_constraint p v = run p v (p.n_inputs + p.n_regs) p.constraint_end
 let eval_rest p v = run p v p.constraint_end (slots p)
 
-module Wide (L : Simcov_util.Lanes.S) = struct
-  let run p (v : L.t array) lo hi =
-    check_scratch p (Array.length v);
-    let op = p.op and fan = p.fan in
-    let get k = Array.unsafe_get v (Array.unsafe_get fan k) in
-    for k = lo to hi - 1 do
-      let f = 3 * k in
-      Array.unsafe_set v k
-        (match Array.unsafe_get op k with
-        | False -> L.zero
-        | True -> L.full
-        | Not -> L.compl (get f)
-        | And -> L.inter (get f) (get (f + 1))
-        | Or -> L.union (get f) (get (f + 1))
-        | Xor -> L.xor (get f) (get (f + 1))
-        | Mux ->
-            let s = get f in
-            L.union (L.inter s (get (f + 1))) (L.diff (get (f + 2)) s)
-        | Leaf -> assert false)
-    done
-
-  let eval_constraint p v = run p v (p.n_inputs + p.n_regs) p.constraint_end
-  let eval_rest p v = run p v p.constraint_end (slots p)
-end
-
 (* golden values are 0 or -1 in every slot: the native lane evaluator
    with all lanes equal *)
 type sim = { prog : t; v : int array }

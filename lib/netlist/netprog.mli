@@ -17,13 +17,12 @@
       {!constraint_end}: a validity check evaluates only that prefix;
     - then the remaining gates of the next-state and output logic.
 
-    Lane evaluators ({!eval_constraint}, {!eval_rest} and {!Wide})
-    work over caller-owned scratch arrays of length {!slots}, so one
-    compiled program can be shared by every domain of a sharded
-    campaign. Bit [l] of every slot is an independent boolean lane.
-    Constants broadcast to all lanes; the native-[int] complement sets
-    bits beyond the lanes the caller populated, which the caller masks
-    off (the {!Wide} complement is width-masked). *)
+    The lane evaluators ({!eval_constraint}, {!eval_rest}) work over
+    caller-owned scratch arrays of length {!slots}, so one compiled
+    program can be shared by every domain of a sharded campaign. Bit
+    [l] of every slot is an independent boolean lane. Constants
+    broadcast to all lanes; the complement sets bits beyond the lanes
+    the caller populated, which the caller masks off. *)
 
 type t
 
@@ -69,13 +68,6 @@ val eval_constraint : t -> int array -> unit
 val eval_rest : t -> int array -> unit
 (** Evaluate every gate after the constraint prefix; the prefix must
     have been evaluated on the same array. *)
-
-(** {1 Any lane representation} *)
-
-module Wide (L : Simcov_util.Lanes.S) : sig
-  val eval_constraint : t -> L.t array -> unit
-  val eval_rest : t -> L.t array -> unit
-end
 
 (** {1 Golden simulation}
 

@@ -129,17 +129,33 @@ let handle_connection pool fd =
                       (Printf.sprintf "malformed request: %s" msg)))
           | Ok j -> handle_op pool conn j))
 
+(* distinguishes the temporary socket names of daemons started by one
+   process *)
+let setup_seq = Atomic.make 0
+
 let serve ~socket ?queue_limit ?workers ?domain_tokens ?cache () =
+  (* The socket is bound and listening under a temporary name in the
+     same directory, then renamed onto [socket]: a client that waits
+     for the path to appear can connect at once, never in a window
+     where it is bound but not yet listening. The rename also replaces
+     a stale file left by a killed daemon. *)
   let setup () =
+    let tmp =
+      Filename.concat (Filename.dirname socket)
+        (Printf.sprintf ".simcov-%d-%d.sock" (Unix.getpid ())
+           (Atomic.fetch_and_add setup_seq 1))
+    in
+    let fd = ref None in
     try
-      (* a live daemon would fail the bind below anyway; a stale file
-         from a killed one must not *)
-      if Sys.file_exists socket then Unix.unlink socket;
-      let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-      Unix.bind fd (Unix.ADDR_UNIX socket);
-      Unix.listen fd 16;
-      Ok fd
+      let s = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+      fd := Some s;
+      Unix.bind s (Unix.ADDR_UNIX tmp);
+      Unix.listen s 16;
+      Unix.rename tmp socket;
+      Ok s
     with Unix.Unix_error (e, _, _) ->
+      Option.iter (fun s -> try Unix.close s with Unix.Unix_error _ -> ()) !fd;
+      (try Unix.unlink tmp with Unix.Unix_error _ -> ());
       Error (Printf.sprintf "%s: %s" socket (Unix.error_message e))
   in
   match setup () with

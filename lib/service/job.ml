@@ -19,7 +19,6 @@ type validate_params = {
   va_track_dest : bool;
   va_observable_dest : bool;
   va_seed : int;
-  va_lanes : int;
   va_jobs : int;
   va_reorder : reorder_mode;
 }
@@ -42,7 +41,6 @@ type coverage_params = {
   cov_count : int;
   cov_steps : int;
   cov_fail_under : float option;
-  cov_lanes : int;
   cov_jobs : int;
   cov_checkpoint : string option;
   cov_checkpoint_every : int;
@@ -87,7 +85,6 @@ let default_validate =
     va_track_dest = true;
     va_observable_dest = true;
     va_seed = 2026;
-    va_lanes = Sys.int_size;
     va_jobs = 1;
     va_reorder = Reorder_off;
   }
@@ -110,7 +107,6 @@ let default_coverage ~model =
     cov_count = 150;
     cov_steps = 256;
     cov_fail_under = None;
-    cov_lanes = Sys.int_size;
     cov_jobs = 1;
     cov_checkpoint = None;
     cov_checkpoint_every = 1;
@@ -148,7 +144,6 @@ let params_json = function
            ("track_dest", Json.Bool p.va_track_dest);
            ("observable_dest", Json.Bool p.va_observable_dest);
            ("seed", Json.Int p.va_seed);
-           ("lanes", Json.Int p.va_lanes);
            ("jobs", Json.Int p.va_jobs);
          ]
         @ opt_reorder p.va_reorder)
@@ -176,7 +171,7 @@ let params_json = function
            ("steps", Json.Int p.cov_steps);
          ]
         @ opt_float "fail_under" p.cov_fail_under
-        @ [ ("lanes", Json.Int p.cov_lanes); ("jobs", Json.Int p.cov_jobs) ]
+        @ [ ("jobs", Json.Int p.cov_jobs) ]
         @ opt_str "checkpoint" p.cov_checkpoint
         @ [ ("checkpoint_every", Json.Int p.cov_checkpoint_every) ]
         @ opt_str "resume" p.cov_resume
@@ -280,7 +275,6 @@ let spec_of ~kind params =
           va_observable_dest =
             get_bool params "observable_dest" ~default:d.va_observable_dest;
           va_seed = get_int params "seed" ~default:d.va_seed;
-          va_lanes = get_int params "lanes" ~default:d.va_lanes;
           va_jobs = get_int params "jobs" ~default:d.va_jobs;
           va_reorder = get_reorder params;
         }
@@ -319,7 +313,6 @@ let spec_of ~kind params =
           cov_count = get_int params "count" ~default:d.cov_count;
           cov_steps = get_int params "steps" ~default:d.cov_steps;
           cov_fail_under = get_float_opt params "fail_under";
-          cov_lanes = get_int params "lanes" ~default:d.cov_lanes;
           cov_jobs = get_int params "jobs" ~default:d.cov_jobs;
           cov_checkpoint = get_str_opt params "checkpoint";
           cov_checkpoint_every =

@@ -50,7 +50,6 @@ type validate_params = {
   va_track_dest : bool;
   va_observable_dest : bool;
   va_seed : int;
-  va_lanes : int;
   va_jobs : int;
   va_reorder : reorder_mode;
 }
@@ -73,7 +72,6 @@ type coverage_params = {
   cov_count : int;  (** FSM faults sampled per kind *)
   cov_steps : int;  (** stimulus length for stuck-at campaigns *)
   cov_fail_under : float option;
-  cov_lanes : int;
   cov_jobs : int;
   cov_checkpoint : string option;
   cov_checkpoint_every : int;

@@ -316,8 +316,7 @@ let run_validate ~budget (p : Job.validate_params) =
   in
   let report =
     Methodology.validate_dlx ~config ~seed:p.Job.va_seed ~budget
-      ~reorder:(reorder_variant p.Job.va_reorder) ~lanes:p.Job.va_lanes
-      ~jobs:p.Job.va_jobs ()
+      ~reorder:(reorder_variant p.Job.va_reorder) ~jobs:p.Job.va_jobs ()
   in
   let human = Format.asprintf "%a@." Methodology.pp_run_report report in
   let exit_code =
@@ -592,7 +591,7 @@ let run_coverage ~cache ~budget ~max_workers ~should_stop ~on_progress
       run_persisted ~p ~chaos_kill_after ~should_stop ~notes ~hdr
         ~key:Fault.key ~run:(fun ?resume ?checkpoint ~should_stop () ->
           Detect.campaign_outcome ?on_batch ?resume ?checkpoint ~should_stop
-            ~budget ~lanes:p.Job.cov_lanes ~jobs:p.Job.cov_jobs
+            ~budget ~jobs:p.Job.cov_jobs
             ?max_workers m faults word)
     with
     | Error (code, msg) -> fail code msg
@@ -689,8 +688,7 @@ let run_coverage ~cache ~budget ~max_workers ~should_stop ~on_progress
               ~key:Stuckat.fault_key
               ~run:(fun ?resume ?checkpoint ~should_stop () ->
                 Stuckat.campaign_outcome ?on_batch ?resume ?checkpoint
-                  ~should_stop ~budget ~lanes:p.Job.cov_lanes
-                  ~jobs:p.Job.cov_jobs ?max_workers c faults word)
+                  ~should_stop ~budget ~jobs:p.Job.cov_jobs ?max_workers c faults word)
           with
           | Error (code, msg) -> fail code msg
           | Ok (outcome, interrupted) ->

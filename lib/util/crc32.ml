@@ -5,31 +5,35 @@
 
 (* Built eagerly at module initialisation. A [lazy] table raced: two
    domains forcing it at once made one of them raise
-   [CamlinternalLazy.Undefined]. *)
+   [CamlinternalLazy.Undefined]. The table and the running value are
+   native ints holding 32-bit values, so the byte loop allocates
+   nothing (an [Int32] running value is boxed on every byte). *)
 let table =
   Array.init 256 (fun n ->
-      let c = ref (Int32.of_int n) in
+      let c = ref n in
       for _ = 0 to 7 do
-        c :=
-          if Int32.logand !c 1l <> 0l then
-            Int32.logxor 0xEDB88320l (Int32.shift_right_logical !c 1)
-          else Int32.shift_right_logical !c 1
+        c := if !c land 1 <> 0 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
       done;
       !c)
 
-let update crc s =
-  let t = table in
-  let c = ref (Int32.lognot crc) in
-  String.iter
-    (fun ch ->
-      let i = Int32.to_int (Int32.logand !c 0xFFl) lxor Char.code ch in
-      c := Int32.logxor t.(i) (Int32.shift_right_logical !c 8))
-    s;
-  Int32.lognot !c
+let mask32 = 0xFFFFFFFF
 
+let update_range crc s pos len =
+  let t = table in
+  let c = ref (lnot (Int32.to_int crc) land mask32) in
+  for k = pos to pos + len - 1 do
+    let i = !c land 0xFF lxor Char.code (String.unsafe_get s k) in
+    c := Array.unsafe_get t i lxor (!c lsr 8)
+  done;
+  Int32.of_int (lnot !c land mask32)
+
+let update crc s = update_range crc s 0 (String.length s)
 let string s = update 0l s
 
-let substring s ~pos ~len = string (String.sub s pos len)
+let substring s ~pos ~len =
+  if pos < 0 || len < 0 || pos > String.length s - len then
+    invalid_arg "Crc32.substring";
+  update_range 0l s pos len
 
 let to_hex c = Printf.sprintf "%08lx" c
 

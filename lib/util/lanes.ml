@@ -3,8 +3,7 @@
 
    The campaign driver and its backends manipulate *sets of lanes*
    (mutant slots inside one batch) with bitwise arithmetic. The native
-   representation is an OCaml [int] — 63 lanes, zero overhead — and is
-   kept as the default and as the oracle for the wide path. The wide
+   representation is an OCaml [int] — 63 lanes, zero overhead. The wide
    representation packs [n] lanes into an [int array] (63 bits per
    word), which is the OCaml-native variant of a Bytes-backed
    bit-slice: same memory layout up to word size, but unboxed word

@@ -5,8 +5,9 @@
     backends perform on batch masks. Two representations:
 
     - {!Native}: a plain OCaml [int], [Sys.int_size] (= 63) lanes.
-      Every operation is one machine instruction; this is the default
-      path and the oracle the wide path is tested against.
+      Every operation is one machine instruction; stuck-at and
+      pipeline-bug campaigns run on it, and FSM campaigns of up to 63
+      faults.
     - {!Wide}: [n] lanes packed into an [int array], 63 bits per word
       (each word an immediate int — the OCaml-native variant of a
       [Bytes] bit-slice, without per-byte fixups or Int64 boxing).

@@ -180,14 +180,16 @@ let test_lane_boundaries () =
     [ 1; 62; 63; 64; 127 ]
 
 (* budget truncation: whole batches are evaluated or skipped, and the
-   evaluated prefix carries exactly the scalar verdicts *)
+   evaluated prefix carries exactly the scalar verdicts. A population
+   fits one batch up to [Detect.max_lanes] faults, so this one is
+   larger. *)
 let test_budget_truncation_prefix () =
   let rng = Rng.create 7 in
   let m =
-    Fsm.tabulate (Fsm.random_connected rng ~n_states:12 ~n_inputs:3 ~n_outputs:3)
+    Fsm.tabulate (Fsm.random_connected rng ~n_states:24 ~n_inputs:3 ~n_outputs:3)
   in
   let all = List.filter (Fault.is_effective m) (Fault.all_transfer_faults m) in
-  let faults = List.filteri (fun i _ -> i < 150) all in
+  let faults = List.filteri (fun i _ -> i < Detect.max_lanes + 150) all in
   let word = Simcov_testgen.Tour.random_word rng m ~length:150 in
   let full = Detect.campaign_scalar m faults word in
   let budget = Budget.create ~max_steps:1 () in
@@ -197,7 +199,8 @@ let test_budget_truncation_prefix () =
   | Some Budget.Steps -> ()
   | Some res -> Alcotest.failf "wrong resource: %s" (Budget.resource_name res)
   | None -> Alcotest.fail "campaign was not truncated");
-  Alcotest.(check int) "whole batches only" 0 (r.Campaign.effective mod Sys.int_size);
+  Alcotest.(check int) "whole batches only" 0
+    (r.Campaign.effective mod Detect.lane_width (List.length faults));
   Alcotest.(check bool) "some faults skipped" true (r.Campaign.skipped > 0);
   Alcotest.(check int) "effective + skipped = population"
     (List.length faults)
@@ -220,41 +223,61 @@ let test_budget_truncation_prefix () =
 
 (* ---- wide lanes and domain sharding ----
 
-   The wide bit-sliced backend and the sharded driver must be
-   observationally identical to the scalar reference (and hence to the
-   native-int oracle): same verdicts, same order, same counters. *)
+   The lane width follows the fault count ({!Detect.lane_width}): the
+   native int up to 63 faults, one wide batch up to 1024, 1024-lane
+   batches beyond. At every width, and sharded, the driver must be
+   observationally identical to the scalar reference: same verdicts,
+   same order, same counters. *)
+
+let test_lane_width_rule () =
+  List.iter
+    (fun (n, w) ->
+      Alcotest.(check int) (Printf.sprintf "lane_width %d" n) w (Detect.lane_width n))
+    [ (0, 1); (1, 1); (63, 63); (64, 64); (300, 300); (1024, 1024); (1025, 1024);
+      (8192, 1024) ];
+  (* the batch width the rule selects through Lanes.make *)
+  List.iter
+    (fun (n, w) ->
+      let module L = (val Simcov_util.Lanes.make (Detect.lane_width n)) in
+      Alcotest.(check int) (Printf.sprintf "batch width for %d faults" n) w L.width)
+    [ (1, Sys.int_size); (63, Sys.int_size); (64, 64); (300, 300); (1025, 1024) ]
+
+(* the first [n] faults of [pool], cycling through it when [n] exceeds
+   its size: a repeated fault occupies a lane of its own and must get
+   its first copy's verdict *)
+let population pool n =
+  match Array.of_list pool with
+  | [||] -> []
+  | a -> List.init n (fun i -> a.(i mod Array.length a))
+
+(* counts around every width the rule picks — the native word (63/64),
+   two native words (126/127), the cap (1024/1025) — and uniform draws *)
+let fault_count =
+  QCheck.(oneof [ oneofl [ 1; 63; 64; 126; 127; 1024; 1025 ]; int_range 1 1100 ])
+
+let qcheck_counts_eq_scalar ~name instance =
+  QCheck.Test.make ~name ~count:40
+    QCheck.(triple (int_range 1 1_000_000) fault_count (int_range 1 3))
+    (fun (seed, n, jobs) ->
+      let m, pool, word = instance seed in
+      let faults = population pool n in
+      check_outcomes_agree
+        ~what:(Printf.sprintf "%d faults, jobs %d" n jobs)
+        (Detect.campaign_scalar m faults word)
+        (Detect.campaign_outcome ~jobs m faults word))
 
 let qcheck_wide_eq_scalar =
-  QCheck.Test.make
-    ~name:"campaign: wide lanes / sharded = scalar (total machines)" ~count:40
-    QCheck.(int_range 1 1_000_000)
-    (fun seed ->
-      let m, faults, word = random_instance seed in
-      let scalar = Detect.campaign_scalar m faults word in
-      ignore
-        (check_outcomes_agree ~what:"wide 256" scalar
-           (Detect.campaign_outcome ~lanes:256 m faults word));
-      ignore
-        (check_outcomes_agree ~what:"wide 512, jobs 2" scalar
-           (Detect.campaign_outcome ~lanes:512 ~jobs:2 m faults word));
-      check_outcomes_agree ~what:"native lanes, jobs 3" scalar
-        (Detect.campaign_outcome ~jobs:3 m faults word))
+  qcheck_counts_eq_scalar
+    ~name:"campaign: wide lanes / sharded = scalar (total machines)"
+    random_instance
 
 let qcheck_wide_eq_scalar_partial =
-  QCheck.Test.make
-    ~name:"campaign: wide lanes / sharded = scalar (partial machines)" ~count:40
-    QCheck.(int_range 1 1_000_000)
-    (fun seed ->
-      let m, faults, word = random_partial_instance seed in
-      let scalar = Detect.campaign_scalar m faults word in
-      ignore
-        (check_outcomes_agree ~what:"partial, wide 256" scalar
-           (Detect.campaign_outcome ~lanes:256 m faults word));
-      check_outcomes_agree ~what:"partial, wide 256 jobs 2" scalar
-        (Detect.campaign_outcome ~lanes:256 ~jobs:2 m faults word))
+  qcheck_counts_eq_scalar
+    ~name:"campaign: wide lanes / sharded = scalar (partial machines)"
+    random_partial_instance
 
-(* wide lane-boundary fault counts around one native word (63/64), one
-   wide-word boundary (255/256/257) and a full 512-lane batch *)
+(* fault counts around one native word (63/64), one 256-lane boundary
+   (255/256/257) and 512, each a single batch at the rule's width *)
 let test_wide_lane_boundaries () =
   let rng = Rng.create 43 in
   let m =
@@ -269,17 +292,12 @@ let test_wide_lane_boundaries () =
     (fun n ->
       let faults = List.filteri (fun i _ -> i < n) all in
       let scalar = Detect.campaign_scalar m faults word in
-      List.iter
-        (fun lanes ->
-          let o = Detect.campaign_outcome ~lanes m faults word in
-          ignore
-            (check_outcomes_agree
-               ~what:(Printf.sprintf "%d faults at %d lanes" n lanes)
-               scalar o);
-          Alcotest.(check int)
-            (Printf.sprintf "%d faults at %d lanes: all evaluated" n lanes)
-            n o.Campaign.report.Campaign.effective)
-        [ 256; 512 ])
+      let o = Detect.campaign_outcome m faults word in
+      ignore
+        (check_outcomes_agree ~what:(Printf.sprintf "%d faults" n) scalar o);
+      Alcotest.(check int)
+        (Printf.sprintf "%d faults: all evaluated" n)
+        n o.Campaign.report.Campaign.effective)
     [ 63; 64; 255; 256; 257; 512 ]
 
 (* sharded truncation: each shard evaluates whole batches forming a
@@ -289,10 +307,10 @@ let test_wide_lane_boundaries () =
 let test_sharded_truncation_prefix () =
   let rng = Rng.create 9 in
   let m =
-    Fsm.tabulate (Fsm.random_connected rng ~n_states:12 ~n_inputs:3 ~n_outputs:3)
+    Fsm.tabulate (Fsm.random_connected rng ~n_states:34 ~n_inputs:3 ~n_outputs:3)
   in
   let all = List.filter (Fault.is_effective m) (Fault.all_transfer_faults m) in
-  let faults = List.filteri (fun i _ -> i < 200) all in
+  let faults = List.filteri (fun i _ -> i < (2 * Detect.max_lanes) + 200) all in
   let word = Simcov_testgen.Tour.random_word rng m ~length:150 in
   let full = Detect.campaign_scalar m faults word in
   let scalar_verdicts = Array.of_list full.Campaign.verdicts in
@@ -326,7 +344,7 @@ let test_sharded_truncation_prefix () =
         | _ -> continue_matching := false
       done;
       Alcotest.(check bool) "shard prefix is whole batches" true
-        (!j = len || !j mod Sys.int_size = 0);
+        (!j = len || !j mod Detect.lane_width n = 0);
       evaluated := !evaluated + !j)
     ranges;
   Alcotest.(check int) "verdicts are exactly the shard prefixes" 0
@@ -402,7 +420,7 @@ let wide () =
   output ctx "y" (!!r0 ||| b);
   finish ctx
 
-let check_stuckat_agrees ?faults ?(widths = [ 256 ]) c word =
+let check_stuckat_agrees ?faults c word =
   let faults = match faults with Some f -> f | None -> Stuckat.all_faults c in
   let batched = Stuckat.campaign_outcome c faults word in
   List.iter2
@@ -416,21 +434,16 @@ let check_stuckat_agrees ?faults ?(widths = [ 256 ]) c word =
           Stuckat.pp_fault f vs.Campaign.detected vs.Campaign.excited
           vb.Campaign.detected vb.Campaign.excited)
     faults batched.Campaign.verdicts;
-  (* the sharded driver at each lane width (beyond 63: the wide
-     bit-sliced backend) agrees with the native-int batched run,
-     verdict by verdict *)
-  List.iter
-    (fun lanes ->
-      let w = Stuckat.campaign_outcome ~lanes ~jobs:2 c faults word in
-      List.iter2
-        (fun (fb, vb) (fw, vw) ->
-          if fb <> fw then
-            QCheck.Test.fail_reportf "stuckat: wide fault order differs";
-          if not (verdict_eq vb vw) then
-            QCheck.Test.fail_reportf "stuckat: %d-lane verdict mismatch on %a"
-              lanes Stuckat.pp_fault fb)
-        batched.Campaign.verdicts w.Campaign.verdicts)
-    widths;
+  (* the sharded driver agrees with the sequential run, verdict by
+     verdict *)
+  let sharded = Stuckat.campaign_outcome ~jobs:2 c faults word in
+  List.iter2
+    (fun (fb, vb) (fw, vw) ->
+      if fb <> fw then QCheck.Test.fail_reportf "stuckat: sharded fault order differs";
+      if not (verdict_eq vb vw) then
+        QCheck.Test.fail_reportf "stuckat: sharded verdict mismatch on %a"
+          Stuckat.pp_fault fb)
+    batched.Campaign.verdicts sharded.Campaign.verdicts;
   true
 
 let qcheck_stuckat_batched_eq_scalar =
@@ -483,7 +496,7 @@ let qcheck_stuckat_random_circuits =
           let ni = Simcov_netlist.Circuit.n_inputs c in
           List.init len (fun _ -> Array.init ni (fun _ -> Rng.bool rng))
       in
-      check_stuckat_agrees ~widths:[ 63; 256 ] c word)
+      check_stuckat_agrees c word)
 
 let dlx_test = lazy (fst (Simcov_dlx.Control.derive_test_model ()))
 
@@ -501,13 +514,12 @@ let qcheck_stuckat_dlx_fault_counts =
       let all = Stuckat.all_faults c in
       List.for_all
         (fun n ->
-          check_stuckat_agrees ~faults:(List.filteri (fun i _ -> i < n) all)
-            ~widths:[ 100; 256 ] c word)
+          check_stuckat_agrees ~faults:(List.filteri (fun i _ -> i < n) all) c word)
         [ 62; 63; 64; 98 ])
 
-(* stuck-at reports pinned byte for byte at a native and a wide lane
-   width; the golden files were captured from the tree-evaluating
-   backends, so they hold the compiled ones to the same bytes *)
+(* stuck-at reports pinned byte for byte; the golden files were
+   captured from the tree-evaluating backends, so they hold the
+   compiled one to the same bytes *)
 let test_stuckat_golden_reports () =
   let module Job = Simcov_service.Job in
   List.iter
@@ -524,27 +536,20 @@ let test_stuckat_golden_reports () =
         | None -> Alcotest.failf "golden file %s not found" name
       in
       let expected = In_channel.with_open_bin path In_channel.input_all in
-      List.iter
-        (fun lanes ->
-          let job =
-            Job.make
-              (Job.Coverage
-                 {
-                   (Job.default_coverage ~model:"dlx-test") with
-                   Job.cov_faults = Job.Stuckat_faults;
-                   cov_seed = seed;
-                   cov_steps = steps;
-                   cov_lanes = lanes;
-                 })
-          in
-          match (Simcov_service.Service.run job).Simcov_service.Service.report with
-          | Some r ->
-              Alcotest.(check string)
-                (Printf.sprintf "%s at %d lanes" path lanes)
-                expected
-                (Simcov_util.Json.to_string r ^ "\n")
-          | None -> Alcotest.failf "%s: no report" path)
-        [ 63; 256 ])
+      let job =
+        Job.make
+          (Job.Coverage
+             {
+               (Job.default_coverage ~model:"dlx-test") with
+               Job.cov_faults = Job.Stuckat_faults;
+               cov_seed = seed;
+               cov_steps = steps;
+             })
+      in
+      match (Simcov_service.Service.run job).Simcov_service.Service.report with
+      | Some r ->
+          Alcotest.(check string) path expected (Simcov_util.Json.to_string r ^ "\n")
+      | None -> Alcotest.failf "%s: no report" path)
     (List.concat_map (fun seed -> [ (seed, 32); (seed, 256) ]) [ 1; 7; 2026; 4242 ])
 
 let test_stuckat_excitation_without_detection () =
@@ -632,6 +637,8 @@ let test_json_schema () =
    only on the first attempt ([fail_once]) to model a transient worker
    fault that a retry on a fresh domain absorbs. *)
 module Synth = struct
+  module L = Simcov_util.Lanes.Native
+
   type ctx = { poison : int -> bool; fail_once : bool Atomic.t option }
   type fault = int
   type stim = int
@@ -798,6 +805,7 @@ let suite =
     Alcotest.test_case "lane boundaries 1/62/63/64/127" `Quick test_lane_boundaries;
     Alcotest.test_case "budget truncation is prefix-consistent" `Quick
       test_budget_truncation_prefix;
+    Alcotest.test_case "lane width rule" `Quick test_lane_width_rule;
     QCheck_alcotest.to_alcotest qcheck_wide_eq_scalar;
     QCheck_alcotest.to_alcotest qcheck_wide_eq_scalar_partial;
     Alcotest.test_case "wide lane boundaries 63/64/255/256/257/512" `Quick

@@ -8,7 +8,12 @@
    - stats_counters.json: the deterministic work counters of
      [simcov stats --metrics FILE] — BDD unique-table and op-cache
      hits and misses, symbolic images and iterations, and the
-     [bdd.nodes.peak] gauge.
+     [bdd.nodes.peak] gauge;
+   - fsm_dlx_count{20,150,600}.json: [simcov coverage dlx --faults fsm
+     --count N --json], captured while FSM campaigns still ran 63-lane
+     batches by default. Their 40, 300 and 1200 faults now run at the
+     three kinds of width the lane rule picks: the native word, one
+     300-lane batch, and two batches at the 1024-lane cap.
 
    Each job runs through the service (what the CLI runs) on a cold
    model cache under a registry of its own. *)
@@ -83,9 +88,23 @@ let test_stats_counters () =
   in
   check_bytes "stats_counters.json" (Json.to_string pinned ^ "\n")
 
+let test_fsm_campaigns () =
+  List.iter
+    (fun count ->
+      let report, _ =
+        run_cold
+          (Job.Coverage { (Job.default_coverage ~model:"dlx") with Job.cov_count = count })
+      in
+      check_bytes
+        (Printf.sprintf "fsm_dlx_count%d.json" count)
+        (Json.to_string report ^ "\n"))
+    [ 20; 150; 600 ]
+
 let suite =
   [
     Alcotest.test_case "lint --fsm dlx report" `Quick test_lint_fsm_dlx;
     Alcotest.test_case "validate-dlx report" `Quick test_validate_dlx;
     Alcotest.test_case "stats work counters" `Quick test_stats_counters;
+    Alcotest.test_case "fsm campaign reports at every lane width" `Quick
+      test_fsm_campaigns;
   ]

@@ -315,16 +315,15 @@ let qcheck_netprog_sim_eq_step =
 (* lane [l] of every leaf slot carries valuation [l]; after a pass,
    bit [l] of every root slot must be the tree evaluation under it *)
 let qcheck_netprog_lanes_eq_eval =
-  QCheck.Test.make ~name:"netprog: native and wide lanes = per-lane eval" ~count:200
+  QCheck.Test.make ~name:"netprog: native lanes = per-lane eval" ~count:200
     QCheck.(int_range 1 1_000_000)
     (fun seed ->
       let rng = Rng.create seed in
       let c = random_circuit rng in
       let p = Netprog.compile c in
       let ni = Circuit.n_inputs c and nr = Circuit.n_regs c in
-      let lanes = 130 in
-      let states = Array.init lanes (fun _ -> random_bools rng nr) in
-      let ivs = Array.init lanes (fun _ -> random_bools rng ni) in
+      let states = Array.init Sys.int_size (fun _ -> random_bools rng nr) in
+      let ivs = Array.init Sys.int_size (fun _ -> random_bools rng ni) in
       let scalar l e =
         Expr.eval ~inputs:(fun i -> ivs.(l).(i)) ~regs:(fun r -> states.(l).(r)) e
       in
@@ -335,7 +334,6 @@ let qcheck_netprog_lanes_eq_eval =
            @ Array.to_list
                (Array.mapi (fun o (pt : Circuit.port) -> (Netprog.output_slot p o, pt.Circuit.expr)) c.Circuit.outputs))
       in
-      (* native ints: the first Sys.int_size valuations *)
       let v = Array.make (Netprog.slots p) 0 in
       let pack f =
         let w = ref 0 in
@@ -360,32 +358,6 @@ let qcheck_netprog_lanes_eq_eval =
       check_native (List.hd roots);
       Netprog.eval_rest p v;
       List.iter check_native roots;
-      (* a wide representation: all 130 valuations in one pass *)
-      let module L = (val Simcov_util.Lanes.make lanes) in
-      let module W = Netprog.Wide (L) in
-      let w = Array.make (Netprog.slots p) L.zero in
-      let pack f =
-        let s = ref L.zero in
-        for l = 0 to lanes - 1 do
-          if f l then s := L.add !s l
-        done;
-        !s
-      in
-      for i = 0 to ni - 1 do
-        w.(i) <- pack (fun l -> ivs.(l).(i))
-      done;
-      for r = 0 to nr - 1 do
-        w.(Netprog.reg_slot p r) <- pack (fun l -> states.(l).(r))
-      done;
-      W.eval_constraint p w;
-      W.eval_rest p w;
-      List.iter
-        (fun (slot, e) ->
-          for l = 0 to lanes - 1 do
-            if L.mem w.(slot) l <> scalar l e then
-              QCheck.Test.fail_reportf "wide lane %d differs at slot %d" l slot
-          done)
-        roots;
       true)
 
 let test_netprog_hash_consing () =

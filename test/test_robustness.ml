@@ -471,10 +471,10 @@ let chaos_save_snapshot ~total path pairs =
 
 let chaos_child_main path =
   let m, faults, word = chaos_instance () in
-  (* small batches, a flush after every one, slowed down so the
-     parent's kill lands mid-campaign *)
+  (* three shards of one batch each, a flush after every one, slowed
+     down so the parent's kill lands mid-campaign *)
   ignore
-    (Detect.campaign_outcome ~lanes:8
+    (Detect.campaign_outcome ~jobs:3
        ~on_batch:(fun _ -> Unix.sleepf 0.005)
        ~checkpoint:
          {

@@ -100,6 +100,39 @@ let test_job_defaults_and_errors () =
   check bool "lint without model rejected" true
     (rejected (Json.Obj [ ("kind", Json.String "lint") ]))
 
+(* simcov-job/1 requests once carried a "lanes" param; the width is now
+   derived from the fault count, and a request that still sends it runs
+   the same experiment *)
+let test_job_lanes_param_ignored () =
+  let request params =
+    Json.Obj
+      [
+        ("schema", Json.String "simcov-job/1");
+        ("id", Json.String "compat");
+        ("kind", Json.String "coverage");
+        ("params", Json.Obj params);
+      ]
+  in
+  let base = [ ("model", Json.String "dlx"); ("seed", Json.Int 7); ("count", Json.Int 40) ] in
+  let envelope j =
+    match Job.of_json j with
+    | Error e -> failf "request rejected: %s" e
+    | Ok job -> (
+        let pool = Pool.create ~cache:(Model_cache.create ()) ~workers:1 () in
+        let env = ref None in
+        (match Pool.submit pool ~on_done:(fun e -> env := Some e) job with
+        | Ok _ -> ()
+        | Error e -> failf "submit rejected: %s" e);
+        Pool.wait pool;
+        Pool.drain pool;
+        match !env with
+        | Some e -> Json.to_string e
+        | None -> fail "no envelope")
+  in
+  check string "envelope with and without lanes"
+    (envelope (request base))
+    (envelope (request (base @ [ ("lanes", Json.Int 256) ])))
+
 let test_envelope_shape () =
   let env =
     Job.envelope ~id:"j1" ~kind:"coverage" ~status:Job.Interrupted ~exit_code:130
@@ -255,14 +288,15 @@ let test_cancellation_leaves_loadable_checkpoint () =
   Unix.mkdir dir 0o755;
   let cp = Filename.concat dir "cancel.covdb" in
   (* flip should_stop after the first batch reports: a deterministic
-     mid-campaign cancellation (count 40 -> 80 faults -> 2 batches) *)
+     mid-campaign cancellation (count 600 -> 1200 faults -> batches of
+     1024 and 176 lanes) *)
   let stopped = ref false in
   let o =
     Service.run
       ~cache:(Model_cache.create ())
       ~should_stop:(fun () -> !stopped)
       ~on_progress:(fun _ -> stopped := true)
-      (coverage_job ~checkpoint:cp ())
+      (coverage_job ~checkpoint:cp ~count:600 ())
   in
   check int "interrupted exit" 130 o.Service.exit_code;
   check bool "flagged interrupted" true o.Service.interrupted;
@@ -282,12 +316,12 @@ let test_cancellation_leaves_loadable_checkpoint () =
             {
               (Job.default_coverage ~model:"dlx") with
               Job.cov_seed = 7;
-              cov_count = 40;
+              cov_count = 600;
               cov_resume = Some cp;
             }))
   in
   check int "resumed run completes" 0 resumed.Service.exit_code;
-  let baseline = run_report (coverage_job ()) in
+  let baseline = run_report (coverage_job ~count:600 ()) in
   (match resumed.Service.report with
   | Some r -> check string "resume equals uninterrupted" baseline (Json.to_string r)
   | None -> fail "resumed run produced no report");
@@ -480,6 +514,45 @@ let with_daemon tag f =
       | Error e -> failf "serve failed: %s" e)
     (fun () -> f socket)
 
+(* The socket path must appear only once the daemon listens on it: a
+   client that connects the moment the file exists is always answered.
+   Binding the path before listening left a window in which such a
+   client was refused. *)
+let test_daemon_socket_ready_on_appearance () =
+  let socket =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "simcov-test-ready-%d.sock" (Unix.getpid ()))
+  in
+  let refused = ref 0 in
+  for _ = 1 to 20 do
+    (try Sys.remove socket with Sys_error _ -> ());
+    let server = Domain.spawn (fun () -> Daemon.serve ~socket ~workers:1 ()) in
+    let deadline = Unix.gettimeofday () +. 10. in
+    while not (Sys.file_exists socket) do
+      if Unix.gettimeofday () > deadline then fail "daemon socket never appeared";
+      Domain.cpu_relax ()
+    done;
+    (match Daemon.ping ~socket with Ok _ -> () | Error _ -> incr refused);
+    (* once a ping is answered the daemon's signal handler is in place,
+       so the SIGTERM below drains it instead of killing the test *)
+    let rec answered n =
+      match Daemon.ping ~socket with
+      | Ok _ -> ()
+      | Error e ->
+          if n = 0 then failf "daemon never answered: %s" e
+          else begin
+            Unix.sleepf 0.01;
+            answered (n - 1)
+          end
+    in
+    answered 500;
+    Unix.kill (Unix.getpid ()) Sys.sigterm;
+    match Domain.join server with
+    | Ok () -> ()
+    | Error e -> failf "serve failed: %s" e
+  done;
+  check int "pings refused right after the socket appeared" 0 !refused
+
 let test_daemon_roundtrip () =
   with_daemon "rt" (fun socket ->
       (match Daemon.ping ~socket with
@@ -587,4 +660,7 @@ let suite =
       test_pool_releases_callbacks;
     test_case "pool: finished jobs capped" `Quick test_pool_forgets_old_finished_jobs;
     test_case "daemon: memory flat over 500 jobs" `Quick test_daemon_memory_flat;
+    test_case "job: legacy lanes param accepted" `Quick test_job_lanes_param_ignored;
+    test_case "daemon: socket answers once it appears" `Quick
+      test_daemon_socket_ready_on_appearance;
   ]

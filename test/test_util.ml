@@ -253,6 +253,30 @@ let test_crc32_incremental () =
   Alcotest.(check int32) "substring agrees" (Crc32.string a)
     (Crc32.substring whole ~pos:0 ~len:17)
 
+let test_crc32_substring_in_place () =
+  let s = "0123456789abcdefghij" in
+  Alcotest.(check int32) "middle range" (Crc32.string "56789abc")
+    (Crc32.substring s ~pos:5 ~len:8);
+  Alcotest.(check int32) "empty range" (Crc32.string "")
+    (Crc32.substring s ~pos:20 ~len:0);
+  List.iter
+    (fun (pos, len) ->
+      match Crc32.substring s ~pos ~len with
+      | _ -> Alcotest.failf "range (%d, %d) accepted" pos len
+      | exception Invalid_argument _ -> ())
+    [ (-1, 2); (3, -1); (15, 6); (21, 0) ]
+
+(* every covdb line and cached model file is hashed: the byte loop must
+   not allocate (a boxed Int32 running value cost 3 words per byte) *)
+let test_crc32_allocation () =
+  let s = String.init (1 lsl 20) (fun i -> Char.chr (i land 0xFF)) in
+  let before = Gc.minor_words () in
+  let c = Crc32.string s in
+  let words = Gc.minor_words () -. before in
+  ignore (Sys.opaque_identity c);
+  if words >= 1000. then
+    Alcotest.failf "Crc32.string of 1 MB allocated %.0f minor words" words
+
 let qcheck_crc32_hex_roundtrip =
   QCheck.Test.make ~name:"crc32: to_hex/of_hex round-trip (incl. high bit)"
     ~count:200 QCheck.string (fun s ->
@@ -325,6 +349,9 @@ let suite =
     QCheck_alcotest.to_alcotest qcheck_rng_float_range;
     Alcotest.test_case "crc32 known answer" `Quick test_crc32_known_answer;
     Alcotest.test_case "crc32 incremental" `Quick test_crc32_incremental;
+    Alcotest.test_case "crc32 substring hashes in place" `Quick
+      test_crc32_substring_in_place;
+    Alcotest.test_case "crc32 allocation" `Quick test_crc32_allocation;
     QCheck_alcotest.to_alcotest qcheck_crc32_hex_roundtrip;
     Alcotest.test_case "crc32 of_hex rejects" `Quick test_crc32_of_hex_rejects;
     Alcotest.test_case "durable write atomic on raise" `Quick
